@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -70,11 +69,11 @@ uint64_t MixCacheHash(uint64_t x);
 
 /// \brief A sharded, byte-bounded LRU cache with per-entry epoch stamps.
 ///
-/// Each shard is an independent mutex + hash map + LRU list, so concurrent
-/// queries on different shards never contend. Entries are charged
-/// `value_bytes + kEntryOverheadBytes` against `capacity_bytes /
-/// num_shards`; the least recently used entries of the owning shard are
-/// evicted to make room.
+/// Each shard is an independent mutex + hash map whose elements are linked
+/// in LRU order, so concurrent queries on different shards never contend.
+/// Entries are charged `value_bytes + kEntryOverheadBytes` against
+/// `capacity_bytes / num_shards`; the least recently used entries of the
+/// owning shard are evicted to make room.
 ///
 /// Epoch semantics are caller-defined: Put stores an epoch stamp, FindIf
 /// takes a predicate over that stamp, and entries failing the predicate
@@ -114,14 +113,12 @@ class ShardedLruCache {
       return false;
     }
     if (!valid(it->second.epoch)) {
-      shard.bytes -= it->second.bytes;
-      shard.lru.erase(it->second.pos);
-      shard.map.erase(it);
+      Erase(shard, it);
       ++shard.stats.invalidations;
       ++shard.stats.misses;
       return false;
     }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.pos);
+    MoveToFront(shard, &*it);
     *out = it->second.value;
     ++shard.stats.hits;
     return true;
@@ -150,7 +147,7 @@ class ShardedLruCache {
       it->second.value = std::move(value);
       it->second.bytes = bytes;
       it->second.epoch = epoch;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.pos);
+      MoveToFront(shard, &*it);
       EvictOver(shard);
       return;
     }
@@ -159,13 +156,12 @@ class ShardedLruCache {
       ++shard.stats.rejected;
       return;
     }
-    shard.lru.push_front(key);
     Entry entry;
     entry.value = std::move(value);
     entry.epoch = epoch;
     entry.bytes = bytes;
-    entry.pos = shard.lru.begin();
-    shard.map.emplace(key, std::move(entry));
+    Slot* slot = &*shard.map.emplace(key, std::move(entry)).first;
+    PushFront(shard, slot);
     shard.bytes += bytes;
     ++shard.stats.inserts;
     EvictOver(shard);
@@ -181,9 +177,7 @@ class ShardedLruCache {
       std::lock_guard<std::mutex> lock(shard.mu);
       for (auto it = shard.map.begin(); it != shard.map.end();) {
         if (pred(it->first, it->second.epoch)) {
-          shard.bytes -= it->second.bytes;
-          shard.lru.erase(it->second.pos);
-          it = shard.map.erase(it);
+          it = Erase(shard, it);
           ++shard.stats.invalidations;
           ++removed;
         } else {
@@ -202,7 +196,8 @@ class ShardedLruCache {
       std::lock_guard<std::mutex> lock(shard.mu);
       shard.stats.invalidations += static_cast<int64_t>(shard.map.size());
       shard.map.clear();
-      shard.lru.clear();
+      shard.head = nullptr;
+      shard.tail = nullptr;
       shard.bytes = 0;
       shard.door.clear();
     }
@@ -227,27 +222,65 @@ class ShardedLruCache {
 
  private:
   struct KeyHasher {
-    size_t operator()(const CacheKey128& key) const {
+    size_t operator()(const CacheKey128& key) const noexcept {
       return static_cast<size_t>(
           MixCacheHash(key.hi ^ (key.lo * 0x9e3779b97f4a7c15ull)));
     }
   };
 
+  struct Entry;
+  using Map = std::unordered_map<CacheKey128, Entry, KeyHasher>;
+  /// A resident map element. Element addresses are stable across rehash,
+  /// so the LRU order links elements directly instead of keeping a
+  /// separate list of keys (one allocation per entry instead of two).
+  using Slot = std::pair<const CacheKey128, Entry>;
+
   struct Entry {
     V value{};
     uint64_t epoch = 0;
     size_t bytes = 0;
-    std::list<CacheKey128>::iterator pos;
+    Slot* newer = nullptr;  // towards the most recently used
+    Slot* older = nullptr;  // towards the least recently used
   };
 
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<CacheKey128, Entry, KeyHasher> map;
-    std::list<CacheKey128> lru;  // front = most recently used
+    Map map;
+    Slot* head = nullptr;  // most recently used
+    Slot* tail = nullptr;  // least recently used
     std::vector<uint32_t> door;  // doorkeeper fingerprints (lazy)
     size_t bytes = 0;
     ShardCacheStats stats;  // entries/bytes fields unused here
   };
+
+  // LRU-order helpers; the caller holds shard.mu.
+  static void Unlink(Shard& shard, Slot* slot) {
+    Entry& e = slot->second;
+    (e.newer != nullptr ? e.newer->second.older : shard.head) = e.older;
+    (e.older != nullptr ? e.older->second.newer : shard.tail) = e.newer;
+    e.newer = nullptr;
+    e.older = nullptr;
+  }
+
+  static void PushFront(Shard& shard, Slot* slot) {
+    slot->second.older = shard.head;
+    if (shard.head != nullptr) shard.head->second.newer = slot;
+    shard.head = slot;
+    if (shard.tail == nullptr) shard.tail = slot;
+  }
+
+  static void MoveToFront(Shard& shard, Slot* slot) {
+    if (shard.head == slot) return;
+    Unlink(shard, slot);
+    PushFront(shard, slot);
+  }
+
+  static typename Map::iterator Erase(Shard& shard,
+                                      typename Map::iterator it) {
+    Unlink(shard, &*it);
+    shard.bytes -= it->second.bytes;
+    return shard.map.erase(it);
+  }
 
   Shard& ShardFor(const CacheKey128& key) const {
     const uint64_t h = KeyHasher()(key);
@@ -269,10 +302,7 @@ class ShardedLruCache {
   // Caller holds shard.mu.
   void EvictOver(Shard& shard) {
     while (shard.bytes > shard_capacity_bytes_ && shard.map.size() > 1) {
-      auto victim = shard.map.find(shard.lru.back());
-      shard.bytes -= victim->second.bytes;
-      shard.lru.pop_back();
-      shard.map.erase(victim);
+      Erase(shard, shard.map.find(shard.tail->first));
       ++shard.stats.evictions;
     }
   }

@@ -323,22 +323,22 @@ Result<GraphId> LanIndex::Insert(Graph graph) {
 
   // Copy-on-write PG extension: concurrent searches keep routing on the
   // previous epoch's topology. With the cache on, build-protocol pair
-  // distances route through the provider keyed by the smaller endpoint's
+  // distances route through the provider keyed by the first endpoint's
   // content hash, so consecutive inserts re-probing the same region reuse
-  // each other's GED work.
+  // each other's GED work (GED entries are never invalidated). The
+  // approximate GED is not symmetric, so each orientation is its own
+  // entry: d(a, b) is exactly what the cache-off path computes.
   auto hnsw = std::make_shared<HnswIndex>(*snap->hnsw);
   std::vector<GraphId> touched;
   const uint64_t next_epoch = snap->epoch + 1;
   HnswIndex::PairDistanceFn pair_distance;
   if (result_cache_ != nullptr) {
     pair_distance = [this, next_epoch](GraphId a, GraphId b) {
-      const GraphId qa = std::min(a, b);
-      const GraphId qb = std::max(a, b);
-      const Graph& ga = db_->Get(qa);
+      const Graph& ga = db_->Get(a);
       QueryContext ctx;
       ctx.query_hash = ga.ContentHash();
       ctx.epoch = next_epoch;
-      return caching_provider_->Approx(ctx, ga, qb).value;
+      return caching_provider_->Approx(ctx, ga, b).value;
     };
   } else {
     pair_distance = [this](GraphId a, GraphId b) {
@@ -351,8 +351,9 @@ Result<GraphId> LanIndex::Insert(Graph graph) {
                                                           : nullptr));
 
   // Invalidate before Publish: queries pinning the new epoch must never
-  // see a pre-mutation cached result for a graph whose base-layer
-  // neighborhood just changed (that is what kRankBatches depends on).
+  // see a pre-mutation M_rk batch (the one topology-dependent kind) for a
+  // graph whose base-layer neighborhood just changed. GED values and M_nh
+  // blobs stay: the new graph only appends to its cluster's member list.
   if (result_cache_ != nullptr) {
     touched.push_back(id);
     result_cache_->InvalidateGraphs(touched, next_epoch);
@@ -394,12 +395,9 @@ Status LanIndex::Remove(GraphId id) {
   (*live)[static_cast<size_t>(id)] = 0;
 
   // Tombstoning keeps the node's graph content and PG edges (liveness is
-  // filtered at result-harvest time), so cached results never go *wrong* —
-  // but drop the dead graph's entries anyway: they can only be served to
-  // doomed lookups and the bytes are better spent on live graphs.
-  if (result_cache_ != nullptr) {
-    result_cache_->InvalidateGraph(id, snap->epoch + 1);
-  }
+  // filtered at result-harvest time), so no cached kind depends on it:
+  // routing still passes through the tombstone, computes its distance and
+  // ranks its neighbors, and those cached values stay exact.
 
   auto next = std::make_shared<IndexSnapshot>(*snap);
   next->epoch = snap->epoch + 1;
@@ -717,8 +715,9 @@ BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
   if (options.profile) stage_hists.Register(&registry);
   // cache.* counters are scoped to this batch: delta against the cache's
   // lifetime totals captured now.
-  const ShardCacheStats cache_before =
-      result_cache_ != nullptr ? result_cache_->Stats() : ShardCacheStats{};
+  const ResultCacheStats cache_before = result_cache_ != nullptr
+                                            ? result_cache_->StoreStats()
+                                            : ResultCacheStats{};
   if (const auto snap = Snapshot(); snap != nullptr) {
     registry.SetGauge(live_gauge, static_cast<double>(snap->live_count));
     registry.SetGauge(tombstone_gauge,

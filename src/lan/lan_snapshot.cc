@@ -705,8 +705,11 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
                                          cluster_in));
 
     LAN_ASSIGN_OR_RETURN(EmbeddingMatrix contexts, DecodeMatrix(&r));
-    if (!contexts.empty() && contexts.rows() != n) {
-      return Status::IoError("models section: context row count mismatch");
+    // M_rk contexts cover the graphs present at Train time; graphs
+    // inserted online afterwards have none (PredictBatches computes theirs
+    // on the fly), so a prefix is valid and only an overlong matrix is not.
+    if (!contexts.empty() && contexts.rows() > n) {
+      return Status::IoError("models section: more context rows than graphs");
     }
     rank_model_->AttachContexts(std::move(contexts));
     trained_ = true;

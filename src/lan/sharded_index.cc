@@ -289,19 +289,19 @@ uint64_t ShardedLanIndex::epoch() const {
   return max_epoch;
 }
 
-ShardCacheStats ShardedLanIndex::CacheStats() const {
-  ShardCacheStats total;
+ResultCacheStats ShardedLanIndex::CacheStats() const {
+  ResultCacheStats total;
   for (const auto& shard : shards_) {
     if (const ResultCache* cache = shard->result_cache()) {
-      total.Merge(cache->Stats());
+      total.Merge(cache->StoreStats());
     }
   }
   return total;
 }
 
 void ShardedLanIndex::AppendCacheMetrics(
-    MetricsRegistry* registry, const ShardCacheStats* baseline) const {
-  ShardCacheStats stats = CacheStats();
+    MetricsRegistry* registry, const ResultCacheStats* baseline) const {
+  ResultCacheStats stats = CacheStats();
   if (baseline != nullptr) stats = SubtractCacheCounters(stats, *baseline);
   size_t capacity = 0;
   for (const auto& shard : shards_) {

@@ -88,16 +88,17 @@ class ShardedLanIndex {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const LanIndex& shard(int i) const { return *shards_[static_cast<size_t>(i)]; }
 
-  /// Sum of every shard's result-cache lifetime stats (all-zero when the
-  /// shards run without a cache).
-  ShardCacheStats CacheStats() const;
+  /// Sum of every shard's result-cache lifetime stats, per store (all-zero
+  /// when the shards run without a cache).
+  ResultCacheStats CacheStats() const;
   /// Emits the aggregated `cache.*` metrics (including the cache.hit_rate
-  /// gauge) across all shards on `registry` — the sharded analogue of
-  /// ResultCache::AppendMetrics, so batch callers export hit rates instead
-  /// of parsing per-shard stdout summaries. When `baseline` is non-null
-  /// the counters report the delta since it was captured.
+  /// gauge and the per-store series) across all shards on `registry` — the
+  /// sharded analogue of ResultCache::AppendMetrics, so batch callers
+  /// export hit rates instead of parsing per-shard stdout summaries. When
+  /// `baseline` is non-null the counters report the delta since it was
+  /// captured.
   void AppendCacheMetrics(MetricsRegistry* registry,
-                          const ShardCacheStats* baseline = nullptr) const;
+                          const ResultCacheStats* baseline = nullptr) const;
   GraphId total_size() const {
     const auto maps = Maps();
     return maps != nullptr ? maps->total_size : 0;

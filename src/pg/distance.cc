@@ -12,8 +12,24 @@ const char* ResultKindName(ResultKind kind) {
       return "rank_batches";
     case ResultKind::kClusterCounts:
       return "cluster_counts";
+    case ResultKind::kNeighborhoodProbs:
+      return "neighborhood_probs";
   }
   return "unknown";
+}
+
+ResultDependency DependencyOf(ResultKind kind) {
+  switch (kind) {
+    case ResultKind::kExactGed:
+    case ResultKind::kApproxGed:
+      return ResultDependency::kContent;
+    case ResultKind::kClusterCounts:
+    case ResultKind::kNeighborhoodProbs:
+      return ResultDependency::kModels;
+    case ResultKind::kRankBatches:
+      return ResultDependency::kTopology;
+  }
+  return ResultDependency::kTopology;
 }
 
 DistanceProvider::~DistanceProvider() = default;

@@ -28,9 +28,30 @@ enum class ResultKind : uint8_t {
   kRankBatches = 2,
   /// M_c output: per-cluster predicted |C ∩ N_Q| counts (graph id unused).
   kClusterCounts = 3,
+  /// M_nh output: P(G in N_Q) for the members of one KMeans cluster, in
+  /// member order (the graph id slot holds the cluster id). Member lists
+  /// only grow at the end, so a stored blob is a prefix of every later
+  /// epoch's list.
+  kNeighborhoodProbs = 4,
 };
 
 const char* ResultKindName(ResultKind kind);
+
+/// \brief What a ResultKind's value is a function of besides the query —
+/// and so which index writes can make a memoized value stale.
+enum class ResultDependency : uint8_t {
+  /// Graph content and the GED protocol. Graph ids are append-only and a
+  /// stored graph never changes, so these values are never stale.
+  kContent,
+  /// Graph content and the trained models: stale only after Train or
+  /// LoadModels, which clear the cache.
+  kModels,
+  /// Also the graph's proximity-graph neighbor list, which Insert
+  /// rewires: served only under a per-graph epoch watermark.
+  kTopology,
+};
+
+ResultDependency DependencyOf(ResultKind kind);
 
 /// \brief Identity of the running query as seen by caches.
 ///
@@ -58,7 +79,8 @@ struct DistanceResult {
 ///
 /// kRankBatches: `ids` holds the batches' graph ids flattened in order and
 /// `sizes` the per-batch lengths. kClusterCounts: `floats` holds the
-/// per-cluster predicted counts.
+/// per-cluster predicted counts. kNeighborhoodProbs: `floats` holds one
+/// probability per cluster member, in member order.
 struct CachedScore {
   std::vector<float> floats;
   std::vector<GraphId> ids;
@@ -80,7 +102,7 @@ struct CachedScore {
 ///
 /// Exact/Approx name the two GED protocols an index carries (query-time
 /// and build-time options respectively). FindScore/StoreScore expose
-/// model-score memoization (M_rk, M_c); the base implementation has no
+/// model-score memoization (M_rk, M_c, M_nh); the base implementation has no
 /// storage, so scores are recomputed unless a caching decorator is
 /// present.
 ///

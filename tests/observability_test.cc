@@ -775,17 +775,19 @@ TEST(ShardedObservabilityTest, AppendCacheMetricsAggregatesShards) {
   QueryWorkload workload = SampleWorkload(db, wopts, 95);
   ASSERT_TRUE(sharded.Train(workload.train).ok());
 
-  const ShardCacheStats before = sharded.CacheStats();
+  const ResultCacheStats before_stores = sharded.CacheStats();
+  const ShardCacheStats before = before_stores.Total();
   SearchOptions options;
   options.k = 3;
   const Graph& query = workload.test.front();
   ASSERT_TRUE(sharded.Search(query, options).status.ok());
   ASSERT_TRUE(sharded.Search(query, options).status.ok());  // repeat: hits
-  const ShardCacheStats after = sharded.CacheStats();
+  const ResultCacheStats after_stores = sharded.CacheStats();
+  const ShardCacheStats after = after_stores.Total();
   EXPECT_GT(after.hits + after.misses, before.hits + before.misses);
 
   MetricsRegistry registry;
-  sharded.AppendCacheMetrics(&registry, &before);
+  sharded.AppendCacheMetrics(&registry, &before_stores);
   MetricsSnapshot snapshot = registry.Snapshot();
   ASSERT_NE(snapshot.FindCounter("cache.hits"), nullptr);
   ASSERT_NE(snapshot.FindGauge("cache.hit_rate"), nullptr);

@@ -11,9 +11,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cpu_features.h"
+#include "common/random.h"
 #include "graph/graph_generator.h"
 #include "lan/lan_index.h"
 #include "lan/sharded_index.h"
@@ -208,6 +210,60 @@ TEST(SnapshotTest, InsertAfterOpenKeepsServing) {
   bool has_inserted = false;
   for (const auto& [rid, d] : dup.results) has_inserted |= (rid == before);
   EXPECT_TRUE(has_inserted);
+}
+
+TEST(SnapshotTest, SaveAfterInsertReopensBitwiseIdentical) {
+  // Online inserts after Train leave the M_rk context matrix covering only
+  // the trained prefix; the saved file must still open and serve the same
+  // answers as the index that wrote it.
+  const std::string path = TempPath("save_after_insert.lansnap");
+  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(50), 185);
+  WorkloadOptions wopts;
+  wopts.num_queries = 15;
+  QueryWorkload workload = SampleWorkload(db, wopts, 186);
+  LanIndex original(TinyConfig());
+  ASSERT_TRUE(original.Build(&db).ok());
+  ASSERT_TRUE(original.Train(workload.train).ok());
+  Rng rng(187);
+  for (int i = 0; i < 3; ++i) {
+    Graph graph = PerturbGraph(db.Get(static_cast<GraphId>(i * 7)), 2,
+                               db.num_labels(), &rng);
+    ASSERT_TRUE(original.Insert(std::move(graph)).ok());
+  }
+  ASSERT_TRUE(original.Remove(11).ok());
+  ASSERT_TRUE(original.SaveSnapshot(path).ok());
+
+  LanIndex opened(TinyConfig());
+  const Status open = opened.OpenSnapshot(path);
+  ASSERT_TRUE(open.ok()) << open.ToString();
+  EXPECT_TRUE(opened.trained());
+  EXPECT_EQ(opened.db().size(), 53);
+  EXPECT_EQ(opened.live_size(), original.live_size());
+  EXPECT_EQ(opened.epoch(), original.epoch());
+
+  for (RoutingMethod routing :
+       {RoutingMethod::kLanRoute, RoutingMethod::kBaselineRoute,
+        RoutingMethod::kOracleRoute}) {
+    for (InitMethod init :
+         {InitMethod::kLanIs, InitMethod::kHnswIs, InitMethod::kRandomIs}) {
+      for (size_t i = 0; i < 3; ++i) {
+        SearchOptions sopts;
+        sopts.k = 5;
+        sopts.routing = routing;
+        sopts.init = init;
+        SearchResult a = original.Search(workload.test[i], sopts);
+        SearchResult b = opened.Search(workload.test[i], sopts);
+        ASSERT_TRUE(a.status.ok());
+        ASSERT_TRUE(b.status.ok());
+        EXPECT_EQ(a.results, b.results)
+            << RoutingMethodName(routing) << "/" << InitMethodName(init)
+            << " query " << i;
+        EXPECT_EQ(a.stats.ndc, b.stats.ndc)
+            << RoutingMethodName(routing) << "/" << InitMethodName(init)
+            << " query " << i;
+      }
+    }
+  }
 }
 
 TEST(SnapshotTest, SaveBeforeBuildFails) {

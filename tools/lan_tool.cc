@@ -556,15 +556,23 @@ int SearchCmd(const Flags& flags) {
   }
   if (ResultCache* cache = loaded->index.result_cache()) {
     cache->AppendMetrics(&registry);
-    const ShardCacheStats stats = cache->Stats();
+    const ResultCacheStats per_store = cache->StoreStats();
+    const ShardCacheStats stats = per_store.Total();
     const int64_t lookups = stats.hits + stats.misses;
-    std::printf("ged cache: %lld/%lld hits (%.0f%%), %lld entries\n",
+    std::printf("ged cache: %lld/%lld hits (%.0f%%), %lld entries;",
                 static_cast<long long>(stats.hits),
                 static_cast<long long>(lookups),
                 lookups > 0 ? 100.0 * static_cast<double>(stats.hits) /
                                   static_cast<double>(lookups)
                             : 0.0,
                 static_cast<long long>(stats.entries));
+    for (int s = 0; s < kNumCacheStores; ++s) {
+      const ShardCacheStats& store = per_store.stores[s];
+      std::printf(" %s %lld/%lld", CacheStoreName(static_cast<CacheStore>(s)),
+                  static_cast<long long>(store.hits),
+                  static_cast<long long>(store.hits + store.misses));
+    }
+    std::printf("\n");
   }
   if (metrics_out != nullptr) {
     *metrics_out << registry.Snapshot().ToJson() << "\n";
@@ -882,7 +890,7 @@ int Serve(const Flags& flags) {
   // re-add lifetime totals (AppendCacheMetrics increments), so the scrape
   // keeps a moving baseline under its own mutex.
   std::mutex scrape_mu;
-  ShardCacheStats cache_baseline;
+  ResultCacheStats cache_baseline;
 
   StatsServer::Options server_options;
   server_options.port = static_cast<int>(flags.GetInt("stats-port", 0));
@@ -890,7 +898,7 @@ int Serve(const Flags& flags) {
   server.Handle("/metrics", [&](const HttpRequest&) {
     std::lock_guard<std::mutex> lock(scrape_mu);
     if (ResultCache* cache = index.result_cache()) {
-      const ShardCacheStats now = cache->Stats();
+      const ResultCacheStats now = cache->StoreStats();
       AppendCacheMetrics(SubtractCacheCounters(now, cache_baseline),
                          cache->capacity_bytes(), &registry);
       cache_baseline = now;
