@@ -115,8 +115,9 @@ class HnswMutator {
     if (level > max_level) core_->entry = id;
   }
 
-  /// Collects the ids whose base-layer adjacency this mutator rewires
-  /// (Connect endpoints + Shrink casualties). Duplicates are not filtered.
+  /// Collects the ids whose base-layer neighbors this mutator rewires
+  /// (Connect endpoints, and ids that lost their only edge to one of them
+  /// to Shrink). Duplicates are not filtered.
   void set_touched_collector(std::vector<GraphId>* touched) {
     touched_ = touched;
   }
@@ -202,32 +203,25 @@ class HnswMutator {
     auto& lb = Neighbors(layer, b);
     if (std::find(la.begin(), la.end(), b) == la.end()) la.push_back(b);
     if (std::find(lb.begin(), lb.end(), a) == lb.end()) lb.push_back(a);
-    // Base-layer rewiring is what invalidates cached routing state: the
-    // endpoints gain an edge, and anything Shrink drops loses one.
-    std::vector<GraphId>* touched = (layer == 0) ? touched_ : nullptr;
-    if (touched != nullptr) {
-      touched->push_back(a);
-      touched->push_back(b);
-    }
-    Shrink(&la, a, cap, touched);
-    Shrink(&lb, b, cap, touched);
-  }
-
-  /// Shrinks `list` to `cap` entries; when `dropped` is non-null, appends
-  /// every neighbor removed in the process (callers use it to know whose
-  /// base-layer view changed).
-  void Shrink(std::vector<GraphId>* list, GraphId node, int cap,
-              std::vector<GraphId>* dropped = nullptr) {
-    if (dropped == nullptr) {
-      ShrinkImpl(list, node, cap);
+    if (layer != 0 || touched_ == nullptr) {
+      Shrink(&la, a, cap);
+      Shrink(&lb, b, cap);
       return;
     }
-    if (list->size() <= static_cast<size_t>(cap)) return;
-    const std::vector<GraphId> before = *list;
-    ShrinkImpl(list, node, cap);
-    for (GraphId g : before) {
-      if (std::find(list->begin(), list->end(), g) == list->end()) {
-        dropped->push_back(g);
+    // Base-layer rewiring is what invalidates cached routing state. The
+    // endpoints gain an edge. The routing view (BaseLayer) is undirected,
+    // so an id Shrink drops from x's list loses its edge to x only when
+    // its own list does not hold x as well.
+    touched_->push_back(a);
+    touched_->push_back(b);
+    for (GraphId x : {a, b}) {
+      dropped_.clear();
+      Shrink(&Neighbors(0, x), x, cap, &dropped_);
+      for (GraphId g : dropped_) {
+        const std::vector<GraphId>& lg = Neighbors(0, g);
+        if (std::find(lg.begin(), lg.end(), x) == lg.end()) {
+          touched_->push_back(g);
+        }
       }
     }
   }
@@ -236,8 +230,10 @@ class HnswMutator {
   /// heuristic) a diversity-filtered subset per Malkov & Yashunin — a
   /// candidate is kept only if it is closer to `node` than to every
   /// already-kept neighbor, so kept edges spread across clusters instead
-  /// of all pointing into one.
-  void ShrinkImpl(std::vector<GraphId>* list, GraphId node, int cap) {
+  /// of all pointing into one. When `dropped` is non-null it receives the
+  /// removed neighbors.
+  void Shrink(std::vector<GraphId>* list, GraphId node, int cap,
+              std::vector<GraphId>* dropped = nullptr) {
     if (list->size() <= static_cast<size_t>(cap)) return;
     std::sort(list->begin(), list->end(), [&](GraphId x, GraphId y) {
       const double dx = Distance(node, x);
@@ -246,6 +242,9 @@ class HnswMutator {
       return x < y;
     });
     if (!options_.select_neighbors_heuristic) {
+      if (dropped != nullptr) {
+        dropped->assign(list->begin() + cap, list->end());
+      }
       list->resize(static_cast<size_t>(cap));
       return;
     }
@@ -272,6 +271,13 @@ class HnswMutator {
       if (kept.size() >= static_cast<size_t>(cap)) break;
       kept.push_back(candidate);
     }
+    if (dropped != nullptr) {
+      for (GraphId g : *list) {
+        if (std::find(kept.begin(), kept.end(), g) == kept.end()) {
+          dropped->push_back(g);
+        }
+      }
+    }
     *list = std::move(kept);
   }
 
@@ -287,6 +293,7 @@ class HnswMutator {
   ThreadPool* pool_;
   std::unordered_map<int64_t, double> cache_;
   std::vector<GraphId>* touched_ = nullptr;
+  std::vector<GraphId> dropped_;  // Connect's per-Shrink scratch
 };
 
 /// Concurrent batch construction over a pre-sized HnswCore, hnswlib/SVS

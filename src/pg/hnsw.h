@@ -175,10 +175,11 @@ class HnswIndex {
   /// Runs the same per-node insertion step as batch construction (level
   /// assignment, ef-search, diversity heuristic and backfill), with the
   /// level drawn from `rng`. When `touched` is non-null it receives the
-  /// ids (deduplicated, sorted) whose base-layer adjacency the insert
-  /// rewired — the new node, the neighbors it connected to, and anyone
-  /// the diversity shrink dropped — which is exactly the set whose
-  /// routing-relevant view changed (cache invalidation consumes this).
+  /// ids (deduplicated, sorted) whose neighbors in the undirected
+  /// BaseLayer() the insert may have changed — the new node, the
+  /// neighbors it connected to, and each id the diversity shrink dropped
+  /// from one of those lists whose own list does not point back (its
+  /// edge is gone). Cache invalidation consumes this.
   Status Insert(GraphId id, const PairDistanceFn& distance,
                 const HnswOptions& options, Rng* rng,
                 std::vector<GraphId>* touched = nullptr);
