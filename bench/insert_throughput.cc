@@ -78,6 +78,7 @@ int Main() {
   // 1. Pure insert throughput (writer only).
   Rng rng(77);
   {
+    const InsertStats built = index.insert_stats();
     Timer timer;
     for (int64_t i = 0; i < warm_inserts; ++i) {
       const GraphId base =
@@ -91,6 +92,18 @@ int Main() {
                 "insert throughput:",
                 static_cast<double>(warm_inserts) / seconds,
                 static_cast<long long>(warm_inserts), seconds);
+    // The writer's pair memo starts with every distance the build
+    // computed; an insert pays GED only for pairs it has not seen.
+    const InsertStats after = index.insert_stats();
+    std::printf("%-28s %10.1f per insert (memo: %llu pairs after build, "
+                "%llu now, %.2f MB)\n",
+                "pair-distance calls:",
+                static_cast<double>(after.pair_distance_calls -
+                                    built.pair_distance_calls) /
+                    static_cast<double>(warm_inserts),
+                static_cast<unsigned long long>(built.pair_memo_entries),
+                static_cast<unsigned long long>(after.pair_memo_entries),
+                static_cast<double>(after.pair_memo_bytes) / (1 << 20));
   }
 
   // 2. Search latency, writer idle.

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <memory>
 
 #include "common/logging.h"
 
@@ -75,32 +76,40 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  const size_t shards = std::min(workers_.size() + 1, n);
-  std::atomic<size_t> next{0};
-  const auto drain = [&next, n, &fn] {
-    for (;;) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      fn(i);
-    }
+  // The caller waits for the n iterations, not for its helper tasks to be
+  // scheduled: helpers queue behind whatever else runs on the pool (a
+  // SearchBatch, another writer's loop), and waiting for them to start
+  // would tie this loop's latency to that unrelated work. So the loop's
+  // state lives on the heap, shared with the helpers; one that starts
+  // after every iteration was claimed finds nothing left, never touches
+  // `fn`, and only drops its reference.
+  struct Loop {
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t done = 0;  // finished iterations, guarded by mu
   };
-  // `pending` is guarded by `done_mu` (not an atomic): the caller can only
-  // observe 0 while holding the lock, i.e. after the last worker released
-  // it, so no worker can still be touching the stack-allocated mu/cv when
-  // the caller returns and destroys them.
-  size_t pending = shards - 1;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  for (size_t t = 1; t < shards; ++t) {
-    Submit([&drain, &pending, &done_mu, &done_cv] {
-      drain();
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (--pending == 0) done_cv.notify_one();
-    });
+  const auto loop = std::make_shared<Loop>();
+  const auto drain = [n](Loop* l, const std::function<void(size_t)>* f) {
+    size_t count = 0;
+    for (;;) {
+      const size_t i = l->next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) break;
+      (*f)(i);
+      ++count;
+    }
+    if (count == 0) return;
+    std::lock_guard<std::mutex> lock(l->mu);
+    l->done += count;
+    if (l->done == n) l->cv.notify_one();
+  };
+  const size_t helpers = std::min(workers_.size(), n - 1);
+  for (size_t t = 0; t < helpers; ++t) {
+    Submit([loop, drain, f = &fn] { drain(loop.get(), f); });
   }
-  drain();  // the calling thread is one of the shards
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&pending] { return pending == 0; });
+  drain(loop.get(), &fn);  // the calling thread is one of the shards
+  std::unique_lock<std::mutex> lock(loop->mu);
+  loop->cv.wait(lock, [&loop, n] { return loop->done == n; });
 }
 
 void ThreadPool::ParallelFor(size_t n, size_t num_threads,

@@ -35,10 +35,12 @@ class ThreadPool {
   /// Runs fn(i) for i in [0, n) on the pool's workers and returns once all
   /// iterations finish; the calling thread drains iterations too, so no
   /// capacity is wasted on a blocked parent. Reuses pool workers instead of
-  /// spawning threads per call (the static overload's cost). Safe to call
-  /// from inside a pool task: that is detected via a thread-local and the
-  /// loop runs inline, because a worker blocking on its own pool's queue
-  /// would deadlock.
+  /// spawning threads per call (the static overload's cost). It waits only
+  /// for its own iterations, never for other tasks sharing the pool, so
+  /// concurrent loops (an Insert beside a SearchBatch) do not wait on each
+  /// other. Safe to call from inside a pool task: that is detected via a
+  /// thread-local and the loop runs inline, because a worker blocking on
+  /// its own pool's queue would deadlock.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Convenience: runs fn(i) for i in [0, n) and waits. Spawns transient

@@ -12,10 +12,9 @@ namespace lan {
 /// Used as ground truth in benches and as the simplest possible index for
 /// API parity tests.
 ///
-/// Also a DistanceProvider: ground truth serves both protocols from its
-/// one GED computer, so brute-force comparisons and cache layering (wrap
-/// it in a CachingDistanceProvider to memoize a ground-truth sweep) go
-/// through the same interface as the learned index.
+/// Also a DistanceProvider: brute-force comparisons and cache layering
+/// (wrap it in a CachingDistanceProvider to memoize a ground-truth sweep)
+/// go through the same interface as the learned index.
 class BruteForceIndex : public DistanceProvider {
  public:
   explicit BruteForceIndex(const GraphDatabase* db, GedOptions ged_options = {})
@@ -28,11 +27,6 @@ class BruteForceIndex : public DistanceProvider {
                        GraphId id) const override {
     (void)ctx;
     return DistanceResult{ged_.Distance(query, db_->Get(id)), true};
-  }
-
-  DistanceResult Approx(const QueryContext& ctx, const Graph& query,
-                        GraphId id) const override {
-    return Exact(ctx, query, id);
   }
 
   const GraphDatabase& db() const { return *db_; }

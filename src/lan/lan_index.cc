@@ -92,6 +92,13 @@ Status LanConfig::Validate() const {
 }
 
 Status LanIndex::Build(const GraphDatabase* db) {
+  return BuildImpl(db, nullptr);
+}
+
+Status LanIndex::Build(GraphDatabase* db) { return BuildImpl(db, db); }
+
+Status LanIndex::BuildImpl(const GraphDatabase* db,
+                           GraphDatabase* mutable_db) {
   LAN_RETURN_NOT_OK(config_.Validate());
   if (db == nullptr || db->empty()) {
     return Status::InvalidArgument("Build: empty database");
@@ -101,17 +108,17 @@ Status LanIndex::Build(const GraphDatabase* db) {
   LAN_LOG(Info) << "LanIndex::Build: " << db_->size() << " graphs ("
                 << db_->name() << ")";
 
+  // Only a mutable index keeps the build's pair distances: they exist for
+  // later Inserts to reuse.
+  pair_memo_.Clear();
   Timer timer;
-  HnswIndex hnsw = HnswIndex::Build(*db_, build_ged_, config_.hnsw,
-                                    pool_.get());
+  HnswIndex hnsw =
+      HnswIndex::Build(*db_, build_ged_, config_.hnsw, pool_.get(),
+                       mutable_db != nullptr ? &pair_memo_ : nullptr);
   LAN_LOG(Info) << "  PG built in " << timer.ElapsedSeconds() << "s, avg deg "
                 << hnsw.BaseLayer().AverageDegree();
-  return FinishBuild(std::move(hnsw), {}, /*epoch=*/0);
-}
-
-Status LanIndex::Build(GraphDatabase* db) {
-  LAN_RETURN_NOT_OK(Build(static_cast<const GraphDatabase*>(db)));
-  mutable_db_ = db;
+  LAN_RETURN_NOT_OK(FinishBuild(std::move(hnsw), {}, /*epoch=*/0));
+  mutable_db_ = mutable_db;
   return Status::OK();
 }
 
@@ -131,6 +138,9 @@ Status LanIndex::BuildFromSavedIndex(const GraphDatabase* db,
   }
   db_ = db;
   mutable_db_ = nullptr;
+  // A restored PG comes without the pair distances that built it; the
+  // first Inserts recompute what they need.
+  pair_memo_.Clear();
 
   // Peek the leading magic: a LANSNAP1 sectioned snapshot, the LANIDX01
   // mutable-index wrapper, or (legacy) a bare HNSW stream.
@@ -265,19 +275,46 @@ Status LanIndex::FinishBuild(HnswIndex hnsw, std::vector<uint8_t> live,
                     (0x9e3779b97f4a7c15ULL +
                      static_cast<uint64_t>(db_->size())));
 
-  // Provider stack: the query path computes through distance_provider(),
-  // which is the caching decorator iff the cross-query cache is on. The
-  // GED-protocol fingerprints salt the cache keys so exact- and
-  // build-protocol values can never alias.
-  base_provider_ = GedDistanceProvider(db_, &query_ged_, &build_ged_);
-  if (config_.cache.enabled) {
-    const uint64_t salt = config_.query_ged.Fingerprint() ^
-                          MixCacheHash(config_.build_ged.Fingerprint());
-    result_cache_ = std::make_shared<ResultCache>(config_.cache, salt);
-    caching_provider_ = MakeCachingProvider(&base_provider_, result_cache_);
-  }
+  InitProviders();
   built_ = true;
   return Status::OK();
+}
+
+void LanIndex::InitProviders() {
+  // Provider stack: the query path computes through distance_provider(),
+  // which is the caching decorator iff the cross-query cache is on. The
+  // query protocol's fingerprint salts the cache keys.
+  base_provider_ = GedDistanceProvider(db_, &query_ged_);
+  if (config_.cache.enabled) {
+    result_cache_ = std::make_shared<ResultCache>(
+        config_.cache, config_.query_ged.Fingerprint());
+    caching_provider_ = MakeCachingProvider(&base_provider_, result_cache_);
+  }
+  pair_distance_calls_.store(0);
+  PublishMemoStats();
+}
+
+void LanIndex::PublishMemoStats() {
+  pair_memo_entries_.store(pair_memo_.size());
+  pair_memo_bytes_.store(pair_memo_.bytes());
+}
+
+InsertStats LanIndex::insert_stats() const {
+  InsertStats stats;
+  stats.pair_distance_calls = pair_distance_calls_.load();
+  stats.pair_memo_entries = pair_memo_entries_.load();
+  stats.pair_memo_bytes = pair_memo_bytes_.load();
+  return stats;
+}
+
+void AppendInsertMetrics(const InsertStats& stats, uint64_t baseline_calls,
+                         MetricsRegistry* registry) {
+  registry->Increment(registry->Counter("insert.pair_distance_calls"),
+                      stats.pair_distance_calls - baseline_calls);
+  registry->SetGauge(registry->Gauge("insert.pair_memo_entries"),
+                     static_cast<double>(stats.pair_memo_entries));
+  registry->SetGauge(registry->Gauge("insert.pair_memo_bytes"),
+                     static_cast<double>(stats.pair_memo_bytes));
 }
 
 void LanIndex::Publish(std::shared_ptr<const IndexSnapshot> snap) {
@@ -322,33 +359,23 @@ Result<GraphId> LanIndex::Insert(Graph graph) {
   clusters->members[static_cast<size_t>(c)].push_back(id);
 
   // Copy-on-write PG extension: concurrent searches keep routing on the
-  // previous epoch's topology. With the cache on, build-protocol pair
-  // distances route through the provider keyed by the first endpoint's
-  // content hash, so consecutive inserts re-probing the same region reuse
-  // each other's GED work (GED entries are never invalidated). The
-  // approximate GED is not symmetric, so each orientation is its own
-  // entry: d(a, b) is exactly what the cache-off path computes.
+  // previous epoch's topology. The writer's pair memo (under writer_mu_)
+  // supplies every construction distance an earlier write computed; the
+  // new node's own distances fan out on the index pool.
   auto hnsw = std::make_shared<HnswIndex>(*snap->hnsw);
   std::vector<GraphId> touched;
   const uint64_t next_epoch = snap->epoch + 1;
-  HnswIndex::PairDistanceFn pair_distance;
-  if (result_cache_ != nullptr) {
-    pair_distance = [this, next_epoch](GraphId a, GraphId b) {
-      const Graph& ga = db_->Get(a);
-      QueryContext ctx;
-      ctx.query_hash = ga.ContentHash();
-      ctx.epoch = next_epoch;
-      return caching_provider_->Approx(ctx, ga, b).value;
-    };
-  } else {
-    pair_distance = [this](GraphId a, GraphId b) {
-      return build_ged_.Distance(db_->Get(a), db_->Get(b));
-    };
-  }
-  LAN_RETURN_NOT_OK(hnsw->Insert(id, pair_distance, config_.hnsw,
-                                 &insert_rng_,
-                                 result_cache_ != nullptr ? &touched
-                                                          : nullptr));
+  const HnswIndex::PairDistanceFn pair_distance = [this](GraphId a,
+                                                         GraphId b) {
+    ++pair_distance_calls_;
+    return build_ged_.Distance(db_->Get(a), db_->Get(b));
+  };
+  const Status inserted =
+      hnsw->Insert(id, pair_distance, config_.hnsw, &insert_rng_,
+                   &pair_memo_, pool_.get(),
+                   result_cache_ != nullptr ? &touched : nullptr);
+  PublishMemoStats();
+  LAN_RETURN_NOT_OK(inserted);
 
   // Invalidate before Publish: queries pinning the new epoch must never
   // see a pre-mutation M_rk batch (the one topology-dependent kind) for a
@@ -718,6 +745,7 @@ BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
   const ResultCacheStats cache_before = result_cache_ != nullptr
                                             ? result_cache_->StoreStats()
                                             : ResultCacheStats{};
+  const InsertStats insert_before = insert_stats();
   if (const auto snap = Snapshot(); snap != nullptr) {
     registry.SetGauge(live_gauge, static_cast<double>(snap->live_count));
     registry.SetGauge(tombstone_gauge,
@@ -761,6 +789,8 @@ BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
   if (result_cache_ != nullptr) {
     result_cache_->AppendMetrics(&registry, &cache_before);
   }
+  AppendInsertMetrics(insert_stats(), insert_before.pair_distance_calls,
+                      &registry);
   out.stats.metrics = registry.Snapshot();
   return out;
 }

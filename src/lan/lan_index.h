@@ -1,6 +1,7 @@
 #ifndef LAN_LAN_LAN_INDEX_H_
 #define LAN_LAN_LAN_INDEX_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -173,6 +174,24 @@ struct BatchStats {
   /// query_errors.
   MetricsSnapshot metrics;
 };
+
+/// \brief Counters of an index's write path, exported as the `insert.*`
+/// metrics: the counter `insert.pair_distance_calls` and the gauges
+/// `insert.pair_memo_entries` / `insert.pair_memo_bytes`.
+struct InsertStats {
+  /// Construction-GED evaluations made by Insert since Build (pairs the
+  /// writer's memo did not hold).
+  uint64_t pair_distance_calls = 0;
+  /// Pairs in the writer's memo, and the bytes of its table.
+  uint64_t pair_memo_entries = 0;
+  uint64_t pair_memo_bytes = 0;
+};
+
+/// Emits `stats` as the `insert.*` metrics, incrementing the counter by
+/// `stats.pair_distance_calls - baseline_calls` (a batch or scrape passes
+/// the count it last reported, as the `cache.*` counters do).
+void AppendInsertMetrics(const InsertStats& stats, uint64_t baseline_calls,
+                         MetricsRegistry* registry);
 
 /// \brief Per-query results plus the merged batch aggregate.
 struct BatchSearchResult {
@@ -348,6 +367,9 @@ class LanIndex {
   /// false. Stats()/AppendMetrics expose hit rates; tools surface them via
   /// --metrics-out.
   ResultCache* result_cache() const { return result_cache_.get(); }
+  /// The write path's counters (`insert.*`); thread-safe, readable while
+  /// a writer runs.
+  InsertStats insert_stats() const;
   /// The provider the query path computes through (the caching decorator
   /// when enabled, the direct GED provider otherwise). Valid after Build.
   const DistanceProvider* distance_provider() const {
@@ -385,11 +407,18 @@ class LanIndex {
   Status LoadModelsFromFile(const std::string& path);
 
  private:
+  /// Both Build overloads: `mutable_db` is `db` or null (immutable).
+  Status BuildImpl(const GraphDatabase* db, GraphDatabase* mutable_db);
   /// Shared tail of Build / BuildFromSavedIndex: derives CGs, embeddings,
   /// and clusters over the database, then publishes the first snapshot at
   /// `epoch` with tombstones `live` (empty = everything live).
   Status FinishBuild(HnswIndex hnsw, std::vector<uint8_t> live,
                      uint64_t epoch);
+  /// The provider stack and result cache over db_, shared by every
+  /// build and restore path; resets the insert.* counters.
+  void InitProviders();
+  /// Copies the memo's size into the insert_stats() gauges.
+  void PublishMemoStats();
   /// Installs `snap` as the current snapshot (release publish).
   void Publish(std::shared_ptr<const IndexSnapshot> snap);
   /// Legacy-stream shim: decodes a full LANSNAP1 image that arrived via
@@ -414,8 +443,8 @@ class LanIndex {
   std::shared_ptr<const void> snapshot_backing_;
   GedComputer build_ged_;
   GedComputer query_ged_;
-  /// Leaf of the provider stack (set up in FinishBuild): direct GED
-  /// computation, query protocol = Exact, build protocol = Approx.
+  /// Leaf of the provider stack (set up in InitProviders): direct
+  /// query-protocol GED computation.
   GedDistanceProvider base_provider_;
   /// Non-null iff config_.cache.enabled: the cross-query store and the
   /// decorator that layers it over base_provider_. shared_ptr because the
@@ -431,6 +460,17 @@ class LanIndex {
   mutable std::mutex writer_mu_;
   /// Continues the level-draw stream for online PG inserts.
   Rng insert_rng_{0};
+  /// Writer state under writer_mu_: every construction pair distance the
+  /// mutable Build and the Inserts since computed, so each Insert pays
+  /// GED only for pairs no earlier write needed. Lives outside the
+  /// copy-on-write snapshots, which are copied on every epoch. Empty on an
+  /// immutable index and after a restore (BuildFromSavedIndex,
+  /// OpenSnapshot): the first writes refill it.
+  PairDistanceMemo pair_memo_;
+  /// insert_stats() sources: written by the writer, read by any thread.
+  std::atomic<uint64_t> pair_distance_calls_{0};
+  std::atomic<uint64_t> pair_memo_entries_{0};
+  std::atomic<uint64_t> pair_memo_bytes_{0};
 
   double gamma_star_ = 0.0;
   std::unique_ptr<NeighborRankModel> rank_model_;

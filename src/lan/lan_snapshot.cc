@@ -613,6 +613,9 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
   LAN_RETURN_NOT_OK(owned_db_->AttachStore(store_ptr, live));
   db_ = owned_db_.get();
   mutable_db_ = owned_db_.get();
+  // The memo starts empty here, as after BuildFromSavedIndex; a Build
+  // that failed before this call may have left pairs of another database.
+  pair_memo_.Clear();
   config_.embedding.num_labels = meta.num_labels;
 
   // PG: frozen index routing directly over the mapped CSR layers.
@@ -736,17 +739,13 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
 
   // Same tail as FinishBuild: the level-draw stream, the provider stack,
   // and the cache are functions of (config, database size) only, so an
-  // opened index inserts and caches exactly like the one that saved it.
+  // opened index inserts and caches exactly like the one that saved it
+  // (its empty pair memo changes which distances an Insert computes, not
+  // their values).
   insert_rng_ = Rng(config_.hnsw.seed ^
                     (0x9e3779b97f4a7c15ULL +
                      static_cast<uint64_t>(db_->size())));
-  base_provider_ = GedDistanceProvider(db_, &query_ged_, &build_ged_);
-  if (config_.cache.enabled) {
-    const uint64_t salt = config_.query_ged.Fingerprint() ^
-                          MixCacheHash(config_.build_ged.Fingerprint());
-    result_cache_ = std::make_shared<ResultCache>(config_.cache, salt);
-    caching_provider_ = MakeCachingProvider(&base_provider_, result_cache_);
-  }
+  InitProviders();
   built_ = true;
   LAN_LOG(Info) << "LanIndex::OpenSnapshot: " << n << " graphs ("
                 << meta.name << "), epoch " << meta.epoch

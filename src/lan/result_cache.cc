@@ -260,34 +260,19 @@ void ResultCache::AppendMetrics(MetricsRegistry* registry,
   AppendCacheMetrics(stats, capacity_bytes(), registry);
 }
 
-DistanceResult CachingDistanceProvider::CachedGed(const QueryContext& ctx,
-                                                  const Graph& query,
-                                                  GraphId id,
-                                                  ResultKind kind) const {
-  const bool exact = kind == ResultKind::kExactGed;
-  if (ctx.query_hash == 0) {
-    return exact ? base_->Exact(ctx, query, id) : base_->Approx(ctx, query, id);
-  }
-  double value = 0.0;
-  if (cache_->FindGed(ctx.query_hash, id, kind, ctx.epoch, &value)) {
-    return DistanceResult{value, false};
-  }
-  const DistanceResult result =
-      exact ? base_->Exact(ctx, query, id) : base_->Approx(ctx, query, id);
-  cache_->PutGed(ctx.query_hash, id, kind, ctx.epoch, result.value);
-  return result;
-}
-
 DistanceResult CachingDistanceProvider::Exact(const QueryContext& ctx,
                                               const Graph& query,
                                               GraphId id) const {
-  return CachedGed(ctx, query, id, ResultKind::kExactGed);
-}
-
-DistanceResult CachingDistanceProvider::Approx(const QueryContext& ctx,
-                                               const Graph& query,
-                                               GraphId id) const {
-  return CachedGed(ctx, query, id, ResultKind::kApproxGed);
+  if (ctx.query_hash == 0) return base_->Exact(ctx, query, id);
+  double value = 0.0;
+  if (cache_->FindGed(ctx.query_hash, id, ResultKind::kExactGed, ctx.epoch,
+                      &value)) {
+    return DistanceResult{value, false};
+  }
+  const DistanceResult result = base_->Exact(ctx, query, id);
+  cache_->PutGed(ctx.query_hash, id, ResultKind::kExactGed, ctx.epoch,
+                 result.value);
+  return result;
 }
 
 bool CachingDistanceProvider::FindScore(const QueryContext& ctx,

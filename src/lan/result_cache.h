@@ -20,7 +20,7 @@ namespace lan {
 /// its own slice of the byte budget, and each is one metric group
 /// (`cache.<name>.*`).
 enum class CacheStore : uint8_t {
-  kGed = 0,     // kExactGed + kApproxGed: content-keyed, never swept
+  kGed = 0,     // kExactGed: content-keyed, never swept
   kRank = 1,    // kRankBatches: watermarked and swept by Insert
   kScores = 2,  // kNeighborhoodProbs + kClusterCounts: model-keyed
 };
@@ -77,7 +77,7 @@ struct ResultCacheOptions {
 /// \brief The index-wide cross-query memoization store.
 ///
 /// Keyed by (canonical query content hash, graph id, result kind, GED
-/// protocol salt); holds exact/approximate GED values and M_rk/M_c/M_nh
+/// protocol salt); holds query-protocol GED values and M_rk/M_c/M_nh
 /// model scores, each kind in its CacheStore. The GED store gets 3/4 of
 /// the byte budget; the rank and score stores share the rest (see
 /// StoreShare in result_cache.cc).
@@ -104,7 +104,7 @@ struct ResultCacheOptions {
 class ResultCache {
  public:
   /// `key_salt` separates keyspaces that must not share results (e.g. the
-  /// GED protocol fingerprints of the owning index), so a future
+  /// query GED protocol fingerprint of the owning index), so a future
   /// process-wide shared cache cannot serve one index's protocol to
   /// another.
   explicit ResultCache(const ResultCacheOptions& options,
@@ -186,8 +186,6 @@ class CachingDistanceProvider final : public DistanceProvider {
 
   DistanceResult Exact(const QueryContext& ctx, const Graph& query,
                        GraphId id) const override;
-  DistanceResult Approx(const QueryContext& ctx, const Graph& query,
-                        GraphId id) const override;
   bool FindScore(const QueryContext& ctx, ResultKind kind, GraphId id,
                  CachedScore* out) const override;
   void StoreScore(const QueryContext& ctx, ResultKind kind, GraphId id,
@@ -197,9 +195,6 @@ class CachingDistanceProvider final : public DistanceProvider {
   ResultCache* cache() const { return cache_.get(); }
 
  private:
-  DistanceResult CachedGed(const QueryContext& ctx, const Graph& query,
-                           GraphId id, ResultKind kind) const;
-
   const DistanceProvider* base_;
   std::shared_ptr<ResultCache> cache_;
 };

@@ -6,8 +6,6 @@ const char* ResultKindName(ResultKind kind) {
   switch (kind) {
     case ResultKind::kExactGed:
       return "exact_ged";
-    case ResultKind::kApproxGed:
-      return "approx_ged";
     case ResultKind::kRankBatches:
       return "rank_batches";
     case ResultKind::kClusterCounts:
@@ -21,7 +19,6 @@ const char* ResultKindName(ResultKind kind) {
 ResultDependency DependencyOf(ResultKind kind) {
   switch (kind) {
     case ResultKind::kExactGed:
-    case ResultKind::kApproxGed:
       return ResultDependency::kContent;
     case ResultKind::kClusterCounts:
     case ResultKind::kNeighborhoodProbs:

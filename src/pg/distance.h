@@ -22,8 +22,6 @@ namespace lan {
 enum class ResultKind : uint8_t {
   /// Query-protocol GED (exact attempt + approximate fallback).
   kExactGed = 0,
-  /// Build-protocol GED (bipartite/beam approximation only).
-  kApproxGed = 1,
   /// M_rk output: the ranked candidate batches of one routing node.
   kRankBatches = 2,
   /// M_c output: per-cluster predicted |C ∩ N_Q| counts (graph id unused).
@@ -100,11 +98,11 @@ struct CachedScore {
 /// at construction time — callers hold one `const DistanceProvider*` and
 /// never know whether caching is stacked underneath.
 ///
-/// Exact/Approx name the two GED protocols an index carries (query-time
-/// and build-time options respectively). FindScore/StoreScore expose
-/// model-score memoization (M_rk, M_c, M_nh); the base implementation has no
-/// storage, so scores are recomputed unless a caching decorator is
-/// present.
+/// Exact is the query-time GED protocol (the writer computes its
+/// construction distances itself; see PairDistanceMemo). FindScore/
+/// StoreScore expose model-score memoization (M_rk, M_c, M_nh); the base
+/// implementation has no storage, so scores are recomputed unless a
+/// caching decorator is present.
 ///
 /// All methods are const and must be thread-safe: one provider instance
 /// serves every concurrent query of an index.
@@ -115,10 +113,6 @@ class DistanceProvider {
   /// Query-protocol distance d(query, db[id]).
   virtual DistanceResult Exact(const QueryContext& ctx, const Graph& query,
                                GraphId id) const = 0;
-
-  /// Build-protocol distance d(query, db[id]).
-  virtual DistanceResult Approx(const QueryContext& ctx, const Graph& query,
-                                GraphId id) const = 0;
 
   /// Looks up a memoized model score. Default: always a miss.
   virtual bool FindScore(const QueryContext& ctx, ResultKind kind, GraphId id,
@@ -135,30 +129,20 @@ class GedDistanceProvider final : public DistanceProvider {
  public:
   GedDistanceProvider() = default;
 
-  /// `approx` may be null, in which case the exact computer serves both
-  /// protocols.
-  GedDistanceProvider(const GraphDatabase* db, const GedComputer* exact,
-                      const GedComputer* approx)
-      : db_(db), exact_(exact), approx_(approx != nullptr ? approx : exact) {}
+  GedDistanceProvider(const GraphDatabase* db, const GedComputer* ged)
+      : db_(db), ged_(ged) {}
 
   DistanceResult Exact(const QueryContext& ctx, const Graph& query,
                        GraphId id) const override {
     (void)ctx;
-    return DistanceResult{exact_->Distance(query, db_->Get(id)), true};
-  }
-
-  DistanceResult Approx(const QueryContext& ctx, const Graph& query,
-                        GraphId id) const override {
-    (void)ctx;
-    return DistanceResult{approx_->Distance(query, db_->Get(id)), true};
+    return DistanceResult{ged_->Distance(query, db_->Get(id)), true};
   }
 
   const GraphDatabase* db() const { return db_; }
 
  private:
   const GraphDatabase* db_ = nullptr;
-  const GedComputer* exact_ = nullptr;
-  const GedComputer* approx_ = nullptr;
+  const GedComputer* ged_ = nullptr;
 };
 
 /// \brief Per-query distance evaluator: caches d(Q, G_id) for the query's
@@ -188,12 +172,12 @@ class DistanceOracle {
   }
 
   /// Convenience constructor for standalone callers (tests, range search,
-  /// ground truth): wraps `ged` in an owned GedDistanceProvider serving
-  /// both protocols, with caching disabled (query_hash 0).
+  /// ground truth): wraps `ged` in an owned GedDistanceProvider, with
+  /// caching disabled (query_hash 0).
   DistanceOracle(const GraphDatabase* db, const Graph* query,
                  const GedComputer* ged, SearchStats* stats,
                  TraceSink* trace = nullptr, SearchScratch* scratch = nullptr)
-      : owned_provider_(db, ged, ged), provider_(&owned_provider_), db_(db),
+      : owned_provider_(db, ged), provider_(&owned_provider_), db_(db),
         query_(query), stats_(stats), trace_(trace), scratch_(scratch) {
     InitCache();
   }

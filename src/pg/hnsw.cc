@@ -10,6 +10,7 @@
 #include <vector>
 
 #include <cstring>
+#include <sys/mman.h>
 #include <istream>
 #include <ostream>
 
@@ -30,48 +31,52 @@ int DrawLevel(Rng* rng, const HnswOptions& options) {
 
 /// The per-node insertion step over a construction-form HnswCore: greedy
 /// upper-layer descent, ef-search per layer, diversity-heuristic neighbor
-/// selection. One mutator instance serves a whole batch build (sharing its
-/// pair-distance cache across inserts); the public Insert creates a fresh
-/// one per call.
+/// selection. One mutator instance serves a whole batch build; pair
+/// distances go through a PairDistanceMemo, which the public Insert takes
+/// from its caller so that it persists across writes.
 class HnswMutator {
  public:
   HnswMutator(HnswCore* core, HnswIndex::PairDistanceFn distance,
-              const HnswOptions& options, ThreadPool* pool)
+              const HnswOptions& options, ThreadPool* pool,
+              PairDistanceMemo* memo)
       : core_(core), distance_fn_(std::move(distance)), options_(options),
-        pool_(pool) {}
+        pool_(pool), memo_(memo) {}
 
+  /// d({a, b}), always evaluated as fn(max, min): which pairs the memo
+  /// already holds must not change a value, and the distance may be
+  /// asymmetric.
   double Distance(GraphId a, GraphId b) {
     if (a == b) return 0.0;
-    const int64_t key = PairKey(a, b);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-    const double d = distance_fn_(a, b);
-    cache_.emplace(key, d);
+    double d;
+    if (memo_->Find(a, b, &d)) return d;
+    d = distance_fn_(std::max(a, b), std::min(a, b));
+    memo_->Put(a, b, d);
     return d;
   }
 
-  /// Distances from `target` to many nodes, parallelized when a pool is
-  /// available. Results land in the cache.
+  /// Distances from `target` to many distinct nodes, evaluated on the pool
+  /// when there is one. Results land in the memo. ParallelFor waits only
+  /// for these evaluations, never for other work sharing the pool, and
+  /// runs inline when called from one of the pool's own workers.
   void BulkDistance(GraphId target, const std::vector<GraphId>& others) {
-    std::vector<GraphId> missing;
+    missing_.clear();
+    double unused;
     for (GraphId o : others) {
-      if (o != target && !cache_.contains(PairKey(target, o))) {
-        missing.push_back(o);
+      if (o != target && !memo_->Find(target, o, &unused)) {
+        missing_.push_back(o);
       }
     }
-    if (missing.size() < 2 || pool_ == nullptr) {
-      for (GraphId o : missing) Distance(target, o);
+    if (missing_.size() < 2 || pool_ == nullptr) {
+      for (GraphId o : missing_) Distance(target, o);
       return;
     }
-    std::vector<double> results(missing.size());
-    for (size_t i = 0; i < missing.size(); ++i) {
-      pool_->Submit([this, target, &missing, &results, i] {
-        results[i] = distance_fn_(target, missing[i]);
-      });
-    }
-    pool_->Wait();
-    for (size_t i = 0; i < missing.size(); ++i) {
-      cache_.emplace(PairKey(target, missing[i]), results[i]);
+    results_.resize(missing_.size());
+    pool_->ParallelFor(missing_.size(), [this, target](size_t i) {
+      const GraphId o = missing_[i];
+      results_[i] = distance_fn_(std::max(target, o), std::min(target, o));
+    });
+    for (size_t i = 0; i < missing_.size(); ++i) {
+      memo_->Put(target, missing_[i], results_[i]);
     }
   }
 
@@ -281,19 +286,15 @@ class HnswMutator {
     *list = std::move(kept);
   }
 
-  static int64_t PairKey(GraphId a, GraphId b) {
-    const int64_t lo = std::min(a, b);
-    const int64_t hi = std::max(a, b);
-    return (hi << 32) | lo;
-  }
-
   HnswCore* core_;
   HnswIndex::PairDistanceFn distance_fn_;
   const HnswOptions& options_;
   ThreadPool* pool_;
-  std::unordered_map<int64_t, double> cache_;
+  PairDistanceMemo* memo_;
   std::vector<GraphId>* touched_ = nullptr;
   std::vector<GraphId> dropped_;  // Connect's per-Shrink scratch
+  std::vector<GraphId> missing_;  // BulkDistance scratch
+  std::vector<double> results_;
 };
 
 /// Concurrent batch construction over a pre-sized HnswCore, hnswlib/SVS
@@ -348,6 +349,16 @@ class ParallelHnswBuilder {
     }
   }
 
+  /// Hands every pair distance the build computed to `memo`.
+  void FoldInto(PairDistanceMemo* memo) const {
+    for (size_t i = 0; i < kCacheShards; ++i) {
+      for (const auto& [key, d] : shards_[i].map) {
+        memo->Put(static_cast<GraphId>(key >> 32),
+                  static_cast<GraphId>(key & 0xffffffff), d);
+      }
+    }
+  }
+
  private:
   using Item = std::pair<double, GraphId>;
   /// Thread-private per-insertion memo, layered over a build-wide sharded
@@ -366,9 +377,9 @@ class ParallelHnswBuilder {
 
   double Distance(GraphId a, GraphId b, Cache* cache) {
     if (a == b) return 0.0;
-    const int64_t lo = std::min(a, b);
-    const int64_t hi = std::max(a, b);
-    const int64_t key = (hi << 32) | lo;
+    const GraphId lo = std::min(a, b);
+    const GraphId hi = std::max(a, b);
+    const int64_t key = (static_cast<int64_t>(hi) << 32) | lo;
     auto it = cache->find(key);
     if (it != cache->end()) return it->second;
     CacheShard& shard = shards_[static_cast<size_t>(key) % kCacheShards];
@@ -384,7 +395,8 @@ class ParallelHnswBuilder {
     // benign (the distance is deterministic) and far cheaper than holding
     // the lock across a GED call. Shard mutexes are leaf locks — taken
     // with a node lock possibly held (Shrink), never the other way round.
-    const double d = distance_fn_(a, b);
+    // Same orientation as HnswMutator::Distance.
+    const double d = distance_fn_(hi, lo);
     {
       std::lock_guard<std::mutex> guard(shard.mu);
       shard.map.emplace(key, d);
@@ -561,19 +573,21 @@ class ParallelHnswBuilder {
 }  // namespace
 
 HnswIndex HnswIndex::Build(const GraphDatabase& db, const GedComputer& ged,
-                           const HnswOptions& options, ThreadPool* pool) {
+                           const HnswOptions& options, ThreadPool* pool,
+                           PairDistanceMemo* memo) {
   return BuildWithDistance(
       db.size(),
       [&db, &ged](GraphId a, GraphId b) {
         return ged.Distance(db.Get(a), db.Get(b));
       },
-      options, pool);
+      options, pool, memo);
 }
 
 HnswIndex HnswIndex::BuildWithDistance(GraphId num_nodes,
                                        const PairDistanceFn& distance,
                                        const HnswOptions& options,
-                                       ThreadPool* pool) {
+                                       ThreadPool* pool,
+                                       PairDistanceMemo* memo) {
   LAN_CHECK_GT(num_nodes, 0);
   HnswIndex index;
   index.flat_search_view_ = options.flat_search_view;
@@ -584,7 +598,9 @@ HnswIndex HnswIndex::BuildWithDistance(GraphId num_nodes,
   if (threads <= 1 || num_nodes < 2) {
     // Serial insert loop: the determinism contract. For a fixed seed this
     // path is bit-for-bit reproducible (golden-topology tests pin it).
-    HnswMutator mutator(&index.core_, distance, options, pool);
+    PairDistanceMemo local;
+    HnswMutator mutator(&index.core_, distance, options, pool,
+                        memo != nullptr ? memo : &local);
     Rng rng(options.seed);
     for (GraphId id = 0; id < num_nodes; ++id) {
       mutator.Insert(id, DrawLevel(&rng, options));
@@ -598,6 +614,7 @@ HnswIndex HnswIndex::BuildWithDistance(GraphId num_nodes,
     for (auto& level : levels) level = DrawLevel(&rng, options);
     ParallelHnswBuilder builder(&index.core_, distance, options);
     builder.Build(levels, threads, pool);
+    if (memo != nullptr) builder.FoldInto(memo);
   }
   index.RebuildViewFromCore();
   return index;
@@ -605,6 +622,7 @@ HnswIndex HnswIndex::BuildWithDistance(GraphId num_nodes,
 
 Status HnswIndex::Insert(GraphId id, const PairDistanceFn& distance,
                          const HnswOptions& options, Rng* rng,
+                         PairDistanceMemo* memo, ThreadPool* pool,
                          std::vector<GraphId>* touched) {
   if (id != core_.num_nodes) {
     return Status::InvalidArgument(
@@ -614,7 +632,9 @@ Status HnswIndex::Insert(GraphId id, const PairDistanceFn& distance,
   // mutation below then proceeds exactly as on a freshly built index.
   Thaw();
   const int level = DrawLevel(rng, options);
-  HnswMutator mutator(&core_, distance, options, nullptr);
+  PairDistanceMemo local;
+  HnswMutator mutator(&core_, distance, options, pool,
+                      memo != nullptr ? memo : &local);
   if (touched != nullptr) mutator.set_touched_collector(touched);
   mutator.Insert(id, level);
   if (touched != nullptr) {
@@ -626,6 +646,73 @@ Status HnswIndex::Insert(GraphId id, const PairDistanceFn& distance,
   // chosen at build time is sticky across re-publishes (see hnsw.h).
   RebuildViewFromCore();
   return Status::OK();
+}
+
+uint64_t PairDistanceMemo::Key(GraphId a, GraphId b) {
+  const uint64_t lo = static_cast<uint32_t>(std::min(a, b));
+  const uint64_t hi = static_cast<uint32_t>(std::max(a, b));
+  return (hi << 32) | lo;
+}
+
+namespace {
+
+/// Zero-filled pages of a private anonymous mapping.
+void* MapZeroed(size_t bytes) {
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  LAN_CHECK(p != MAP_FAILED) << "pair memo: mmap of " << bytes << " bytes";
+  return p;
+}
+
+}  // namespace
+
+PairDistanceMemo::~PairDistanceMemo() { Clear(); }
+
+size_t PairDistanceMemo::Probe(uint64_t key) const {
+  const size_t mask = capacity_ - 1;
+  // Murmur3's finalizer spreads the (hi, lo) bit pattern over the table.
+  uint64_t h = key ^ (key >> 33);
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  size_t i = static_cast<size_t>(h) & mask;
+  while (slots_[i].key != 0 && slots_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+bool PairDistanceMemo::Find(GraphId a, GraphId b, double* out) const {
+  if (size_ == 0) return false;
+  const Slot& slot = slots_[Probe(Key(a, b))];
+  if (slot.key == 0) return false;
+  *out = slot.value;
+  return true;
+}
+
+void PairDistanceMemo::Put(GraphId a, GraphId b, double d) {
+  if (4 * (size_ + 1) > 3 * capacity_) Grow();
+  const uint64_t key = Key(a, b);
+  Slot& slot = slots_[Probe(key)];
+  if (slot.key != 0) return;
+  slot.key = key;
+  slot.value = d;
+  ++size_;
+}
+
+void PairDistanceMemo::Grow() {
+  Slot* const old = slots_;
+  const size_t old_capacity = capacity_;
+  capacity_ = std::max<size_t>(1024, 2 * capacity_);
+  slots_ = static_cast<Slot*>(MapZeroed(capacity_ * sizeof(Slot)));
+  for (size_t i = 0; i < old_capacity; ++i) {
+    if (old[i].key != 0) slots_[Probe(old[i].key)] = old[i];
+  }
+  if (old != nullptr) munmap(old, old_capacity * sizeof(Slot));
+}
+
+void PairDistanceMemo::Clear() {
+  if (slots_ != nullptr) munmap(slots_, capacity_ * sizeof(Slot));
+  slots_ = nullptr;
+  capacity_ = 0;
+  size_ = 0;
 }
 
 void HnswIndex::UpperLayer::Compact() {

@@ -36,8 +36,8 @@ struct HnswOptions {
   /// (hnswlib-style): same level sequence (levels are pre-drawn from the
   /// seed's stream), statistically equivalent topology, no bit-for-bit
   /// guarantee. 0 means "use the passed pool's width (or the hardware
-  /// count when no pool)". Ignored by incremental Insert, which is always
-  /// a single-node serial step.
+  /// count when no pool)". Ignored by incremental Insert, which inserts
+  /// one node (its candidate distances still fan out on the passed pool).
   int num_build_threads = 1;
   /// Compact the published view's adjacency into contiguous CSR rows that
   /// search iterates with software prefetch. Never changes results — the
@@ -45,6 +45,54 @@ struct HnswOptions {
   /// only locality. Off exists for A/B benchmarks and layout-equivalence
   /// tests.
   bool flat_search_view = true;
+};
+
+/// \brief Writer-side memo of construction pair distances, one value per
+/// unordered pair {a, b}: d(max(a, b), min(a, b)). Batch build fills it and
+/// every Insert extends it, so a write recomputes only the pairs no earlier
+/// write needed. It is a pure cache: the builder evaluates every pair in
+/// that one orientation whether or not the memo holds it, so an asymmetric
+/// distance (the approximate GED) yields the same topology with a full, an
+/// empty or no memo.
+///
+/// Open addressing with linear probing over 16-byte slots (key, value);
+/// the table doubles at 3/4 load. Not thread-safe: its owner is the index's
+/// single writer.
+class PairDistanceMemo {
+ public:
+  PairDistanceMemo() = default;
+  ~PairDistanceMemo();
+  PairDistanceMemo(const PairDistanceMemo&) = delete;
+  PairDistanceMemo& operator=(const PairDistanceMemo&) = delete;
+
+  /// Looks up {a, b}; true and `*out` set on a hit. a != b.
+  bool Find(GraphId a, GraphId b, double* out) const;
+  /// Records d for {a, b} (a != b); an existing entry is kept.
+  void Put(GraphId a, GraphId b, double d);
+
+  /// Pairs held.
+  size_t size() const { return size_; }
+  /// Bytes of the slot table.
+  size_t bytes() const { return capacity_ * sizeof(Slot); }
+  void Clear();
+
+ private:
+  struct Slot {
+    uint64_t key;  // 0 == empty: a real key has max(a, b) >= 1 on top
+    double value;
+  };
+  static uint64_t Key(GraphId a, GraphId b);
+  size_t Probe(uint64_t key) const;  // slot holding `key`, or its empty slot
+  void Grow();
+
+  /// The table is its own anonymous mapping, outside malloc: it lives as
+  /// long as the index while the build's temporaries come and go, and on
+  /// the heap it kept freed memory below it from being returned (on
+  /// perfbench hot_repeat a heap table raised peak RSS by 1.8 MB, three
+  /// times the memo's own size).
+  Slot* slots_ = nullptr;
+  size_t capacity_ = 0;  // slots, a power of two
+  size_t size_ = 0;
 };
 
 /// \brief Construction-form state of an HNSW index: the directed layered
@@ -93,22 +141,27 @@ struct HnswSnapshotView {
 /// that prefix plus inserts.
 class HnswIndex {
  public:
-  /// Symmetric distance between two indexed items. Must be thread-safe
-  /// when a ThreadPool is passed to the builder.
+  /// Distance between two indexed items; need not be symmetric (the
+  /// approximate GED is not). The builder only ever calls it as
+  /// fn(max(a, b), min(a, b)). Must be thread-safe when a ThreadPool is
+  /// passed to the builder.
   using PairDistanceFn = std::function<double(GraphId, GraphId)>;
 
   /// Builds the index. `pool` (optional) parallelizes the per-step
-  /// neighbor distance evaluations.
+  /// neighbor distance evaluations. `memo` (optional) receives every pair
+  /// distance the build computed, for later Inserts to reuse.
   static HnswIndex Build(const GraphDatabase& db, const GedComputer& ged,
                          const HnswOptions& options,
-                         ThreadPool* pool = nullptr);
+                         ThreadPool* pool = nullptr,
+                         PairDistanceMemo* memo = nullptr);
 
   /// Metric-agnostic builder (used by the L2route baseline over graph
   /// embedding vectors).
   static HnswIndex BuildWithDistance(GraphId num_nodes,
                                      const PairDistanceFn& distance,
                                      const HnswOptions& options,
-                                     ThreadPool* pool = nullptr);
+                                     ThreadPool* pool = nullptr,
+                                     PairDistanceMemo* memo = nullptr);
 
   /// The layer-0 proximity graph (all database nodes).
   const ProximityGraph& BaseLayer() const { return base_layer_; }
@@ -174,14 +227,19 @@ class HnswIndex {
   /// `distance` must cover all ids up to and including the new one.
   /// Runs the same per-node insertion step as batch construction (level
   /// assignment, ef-search, diversity heuristic and backfill), with the
-  /// level drawn from `rng`. When `touched` is non-null it receives the
-  /// ids (deduplicated, sorted) whose neighbors in the undirected
-  /// BaseLayer() the insert may have changed — the new node, the
-  /// neighbors it connected to, and each id the diversity shrink dropped
-  /// from one of those lists whose own list does not point back (its
-  /// edge is gone). Cache invalidation consumes this.
+  /// level drawn from `rng`. `memo` (optional) is read and extended, so a
+  /// writer that keeps one across builds and inserts computes each pair
+  /// once; without it the insert memoizes only within itself. The
+  /// topology does not depend on it. `pool` (optional) evaluates the new
+  /// node's candidate distances in parallel. When `touched` is non-null it
+  /// receives the ids (deduplicated, sorted) whose neighbors in the
+  /// undirected BaseLayer() the insert may have changed — the new node,
+  /// the neighbors it connected to, and each id the diversity shrink
+  /// dropped from one of those lists whose own list does not point back
+  /// (its edge is gone). Cache invalidation consumes this.
   Status Insert(GraphId id, const PairDistanceFn& distance,
                 const HnswOptions& options, Rng* rng,
+                PairDistanceMemo* memo = nullptr, ThreadPool* pool = nullptr,
                 std::vector<GraphId>* touched = nullptr);
 
   /// Full HNSW k-ANN query: upper-layer descent, then Algorithm 1 on the

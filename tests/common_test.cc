@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "common/stats.h"
@@ -241,6 +247,40 @@ TEST(ThreadPoolTest, WaitIsReusable) {
 TEST(ThreadPoolTest, ParallelForCoversRange) {
   std::vector<int> hits(1000, 0);
   ThreadPool::ParallelFor(hits.size(), 4, [&](size_t i) { hits[i] = 1; });
+  for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPoolTest, ParallelForWaitsOnlyForItsOwnIterations) {
+  // Both workers are busy with unrelated tasks; the loop's helpers queue
+  // behind them, so the caller must finish every iteration itself and
+  // return without waiting for the helpers to be scheduled.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> blocked{0};
+  for (int i = 0; i < 2; ++i) {
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      blocked.fetch_add(1);
+      cv.wait(lock, [&] { return release; });
+    });
+  }
+  while (blocked.load() < 2) std::this_thread::yield();
+  std::vector<int> hits(64, 0);
+  auto loop = std::async(std::launch::async, [&] {
+    pool.ParallelFor(hits.size(), [&](size_t i) { hits[i] = 1; });
+  });
+  const bool returned =
+      loop.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  loop.wait();
+  pool.Wait();
+  EXPECT_TRUE(returned);
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 

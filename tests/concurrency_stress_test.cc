@@ -186,5 +186,74 @@ TEST(ConcurrencyStressTest, SearchersServeConsistentEpochsUnderMutation) {
   EXPECT_GE(recall / kRecallQueries, 0.6);
 }
 
+TEST(ConcurrencyStressTest, InsertBesideSearchBatchOnTheSamePool) {
+  // The writer's candidate distances and SearchBatch's queries share the
+  // index pool. Each ParallelFor waits only for its own iterations, so
+  // neither side waits on the other, and the insert's topology does not
+  // depend on how the pool was shared: it matches a twin that inserts
+  // the same graphs with no parallelism at all.
+  constexpr GraphId kInitial = 50;
+  constexpr int kInserts = 12;
+  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(kInitial), 84);
+  GraphDatabase twin_db = db;
+  LanConfig config = StressConfig();
+  config.num_threads = 3;
+  LanIndex index(config);
+  ASSERT_TRUE(index.Build(&db).ok());
+  LanConfig serial_config = StressConfig();
+  serial_config.num_threads = 1;
+  LanIndex twin(serial_config);
+  ASSERT_TRUE(twin.Build(&twin_db).ok());
+
+  std::vector<Graph> queries;
+  std::vector<Graph> inserts;
+  Rng gen(85);
+  for (int i = 0; i < 6; ++i) {
+    queries.push_back(PerturbGraph(db.Get(static_cast<GraphId>(3 * i)), 2,
+                                   db.num_labels(), &gen));
+  }
+  for (int i = 0; i < kInserts; ++i) {
+    inserts.push_back(PerturbGraph(db.Get(static_cast<GraphId>(4 * i)), 2,
+                                   db.num_labels(), &gen));
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failed_queries{0};
+  std::atomic<int> batches{0};
+  std::thread searcher([&] {
+    SearchOptions options;
+    options.k = 5;
+    options.routing = RoutingMethod::kBaselineRoute;
+    options.init = InitMethod::kHnswIs;
+    while (!done.load(std::memory_order_acquire) || batches.load() == 0) {
+      BatchSearchResult batch = index.SearchBatch(queries, options);
+      for (const SearchResult& r : batch.results) {
+        if (!r.status.ok() || r.results.empty()) failed_queries.fetch_add(1);
+      }
+      batches.fetch_add(1);
+    }
+  });
+  int writer_failures = 0;
+  for (const Graph& graph : inserts) {
+    if (!index.Insert(graph).ok()) ++writer_failures;
+  }
+  done.store(true, std::memory_order_release);
+  searcher.join();
+
+  for (const Graph& graph : inserts) ASSERT_TRUE(twin.Insert(graph).ok());
+  EXPECT_EQ(writer_failures, 0);
+  EXPECT_EQ(failed_queries.load(), 0);
+  EXPECT_GT(batches.load(), 0);
+  ASSERT_EQ(index.pg().NumNodes(), kInitial + kInserts);
+  for (GraphId id = 0; id < index.pg().NumNodes(); ++id) {
+    const auto a = index.pg().NeighborSpan(id);
+    const auto b = twin.pg().NeighborSpan(id);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "graph " << id;
+  }
+  EXPECT_EQ(index.insert_stats().pair_distance_calls,
+            twin.insert_stats().pair_distance_calls);
+}
+
 }  // namespace
 }  // namespace lan

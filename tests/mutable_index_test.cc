@@ -10,9 +10,12 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "graph/graph_generator.h"
 #include "lan/ground_truth.h"
@@ -121,6 +124,150 @@ TEST(HnswGoldenTopologyTest, BatchBuildIsLiterallyAnInsertLoop) {
     EXPECT_EQ(grown.NumLayers(), batch.NumLayers());
     EXPECT_EQ(grown.EntryPoint(), batch.EntryPoint());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Writer pair-distance memo
+// ---------------------------------------------------------------------------
+
+/// Deterministic and asymmetric, like the approximate GED: d(a, b) and
+/// d(b, a) differ by a per-pair skew large enough to reorder candidates.
+double AsymmetricDistance(const std::vector<double>& points, GraphId a,
+                          GraphId b) {
+  const double base = std::abs(points[static_cast<size_t>(a)] -
+                               points[static_cast<size_t>(b)]);
+  const double skew = static_cast<double>((7 * a + 3 * b) % 11) * 9.0;
+  return base + skew;
+}
+
+/// Construction-form adjacency at every layer, entry and layer count.
+uint64_t CoreHash(const HnswIndex& index) {
+  uint64_t h = TopologyHash(index);
+  for (int l = 0; l < index.NumCoreLayers(); ++l) {
+    for (GraphId id = 0; id < index.NumNodes(); ++id) {
+      for (GraphId n : index.CoreRow(l, id)) {
+        h = Fnv(h, static_cast<uint64_t>(n));
+      }
+      h = Fnv(h, 0xfffffffffULL);
+    }
+  }
+  return h;
+}
+
+TEST(HnswPairMemoTest, AsymmetricBatchBuildEqualsInsertLoopSharingOneMemo) {
+  const std::vector<double> points = GoldenPoints();
+  auto distance = [&points](GraphId a, GraphId b) {
+    return AsymmetricDistance(points, a, b);
+  };
+  for (const bool heuristic : {true, false}) {
+    const HnswOptions options = GoldenOptions(heuristic);
+    PairDistanceMemo batch_memo;
+    HnswIndex batch = HnswIndex::BuildWithDistance(120, distance, options,
+                                                   nullptr, &batch_memo);
+    HnswIndex grown;
+    PairDistanceMemo memo;
+    Rng rng(options.seed);
+    for (GraphId id = 0; id < 120; ++id) {
+      ASSERT_TRUE(grown.Insert(id, distance, options, &rng, &memo).ok());
+    }
+    EXPECT_EQ(TopologyHash(grown), TopologyHash(batch)) << heuristic;
+    EXPECT_EQ(CoreHash(grown), CoreHash(batch)) << heuristic;
+    EXPECT_EQ(memo.size(), batch_memo.size()) << heuristic;
+  }
+}
+
+TEST(HnswPairMemoTest, InsertWithPoolMatchesInsertWithoutBitForBit) {
+  const std::vector<double> points = GoldenPoints();
+  auto distance = [&points](GraphId a, GraphId b) {
+    return AsymmetricDistance(points, a, b);
+  };
+  const HnswOptions options = GoldenOptions(/*heuristic=*/true);
+  ThreadPool pool(3);
+  PairDistanceMemo serial_memo;
+  PairDistanceMemo pooled_memo;
+  HnswIndex serial =
+      HnswIndex::BuildWithDistance(80, distance, options, nullptr,
+                                   &serial_memo);
+  HnswIndex pooled =
+      HnswIndex::BuildWithDistance(80, distance, options, &pool,
+                                   &pooled_memo);
+  ASSERT_EQ(CoreHash(serial), CoreHash(pooled));
+  Rng serial_rng(9);
+  Rng pooled_rng(9);
+  for (GraphId id = 80; id < 120; ++id) {
+    std::vector<GraphId> serial_touched;
+    std::vector<GraphId> pooled_touched;
+    ASSERT_TRUE(serial.Insert(id, distance, options, &serial_rng,
+                              &serial_memo, nullptr, &serial_touched)
+                    .ok());
+    ASSERT_TRUE(pooled.Insert(id, distance, options, &pooled_rng,
+                              &pooled_memo, &pool, &pooled_touched)
+                    .ok());
+    EXPECT_EQ(serial_touched, pooled_touched) << id;
+  }
+  EXPECT_EQ(CoreHash(serial), CoreHash(pooled));
+  EXPECT_EQ(serial_memo.size(), pooled_memo.size());
+  // Without any memo an insert computes more, but rewires the same way.
+  HnswIndex fresh =
+      HnswIndex::BuildWithDistance(80, distance, options, &pool);
+  Rng fresh_rng(9);
+  for (GraphId id = 80; id < 120; ++id) {
+    ASSERT_TRUE(fresh.Insert(id, distance, options, &fresh_rng).ok());
+  }
+  EXPECT_EQ(CoreHash(fresh), CoreHash(serial));
+}
+
+TEST(HnswPairMemoTest, BuildAndInsertsEvaluateEachPairOnce) {
+  const std::vector<double> points = GoldenPoints();
+  std::set<std::pair<GraphId, GraphId>> seen;
+  int repeats = 0;
+  int wrong_orientation = 0;
+  auto distance = [&](GraphId a, GraphId b) {
+    if (a < b) ++wrong_orientation;
+    if (!seen.emplace(std::min(a, b), std::max(a, b)).second) ++repeats;
+    return AsymmetricDistance(points, a, b);
+  };
+  const HnswOptions options = GoldenOptions(/*heuristic=*/true);
+  PairDistanceMemo memo;
+  HnswIndex index =
+      HnswIndex::BuildWithDistance(100, distance, options, nullptr, &memo);
+  Rng rng(17);
+  for (GraphId id = 100; id < 120; ++id) {
+    ASSERT_TRUE(index.Insert(id, distance, options, &rng, &memo).ok());
+  }
+  EXPECT_EQ(repeats, 0);
+  EXPECT_EQ(wrong_orientation, 0);  // always fn(max, min)
+  EXPECT_EQ(memo.size(), seen.size());
+}
+
+TEST(HnswPairMemoTest, MemoRoundTripsThroughGrowth) {
+  PairDistanceMemo memo;
+  double value = 0.0;
+  EXPECT_FALSE(memo.Find(1, 2, &value));
+  for (GraphId a = 1; a < 300; ++a) {
+    for (GraphId b = 0; b < a; b += 7) {
+      memo.Put(b, a, static_cast<double>(a * 1000 + b));
+    }
+  }
+  size_t expected = 0;
+  for (GraphId a = 1; a < 300; ++a) {
+    for (GraphId b = 0; b < a; b += 7) {
+      ++expected;
+      ASSERT_TRUE(memo.Find(a, b, &value)) << a << "," << b;
+      EXPECT_EQ(value, static_cast<double>(a * 1000 + b));
+    }
+    EXPECT_FALSE(memo.Find(a, a + 1000, &value));
+  }
+  EXPECT_EQ(memo.size(), expected);
+  EXPECT_GE(memo.bytes(), 16 * memo.size());
+  memo.Put(0, 7, -1.0);  // an existing pair keeps its value
+  ASSERT_TRUE(memo.Find(7, 0, &value));
+  EXPECT_EQ(value, 7000.0);
+  EXPECT_EQ(memo.size(), expected);
+  memo.Clear();
+  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_EQ(memo.bytes(), 0u);
+  EXPECT_FALSE(memo.Find(7, 0, &value));
 }
 
 // ---------------------------------------------------------------------------
@@ -349,6 +496,49 @@ TEST(MutableLanIndexTest, TrainAfterInsertCoversInsertedGraphs) {
   SearchResult result = index.Search(workload.test.front(), learned);
   EXPECT_TRUE(result.status.ok());
   EXPECT_EQ(result.results.size(), 4u);
+}
+
+TEST(MutableLanIndexTest, InsertsReuseTheBuildsPairDistances) {
+  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(60), 63);
+  LanIndex index(TinyConfig());
+  ASSERT_TRUE(index.Build(&db).ok());
+  const InsertStats built = index.insert_stats();
+  EXPECT_GT(built.pair_memo_entries, 0u);
+  EXPECT_GE(built.pair_memo_bytes, 16 * built.pair_memo_entries);
+  EXPECT_EQ(built.pair_distance_calls, 0u);
+
+  Rng rng(64);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(index.Insert(PerturbGraph(db.Get(i), 2, db.num_labels(),
+                                          &rng))
+                    .ok());
+  }
+  // Every pair an insert computed is new to the memo and stays in it, so
+  // no pair is computed twice across the build and the inserts.
+  const InsertStats after = index.insert_stats();
+  EXPECT_GT(after.pair_distance_calls, 0u);
+  EXPECT_EQ(after.pair_distance_calls,
+            after.pair_memo_entries - built.pair_memo_entries);
+
+  // SearchBatch exports the series beside cache.*; its counter is scoped
+  // to the batch (no insert ran during it).
+  BatchSearchResult batch =
+      index.SearchBatch({db.Get(3), db.Get(4)}, BaselineOptions(3));
+  const int64_t* calls =
+      batch.stats.metrics.FindCounter("insert.pair_distance_calls");
+  ASSERT_NE(calls, nullptr);
+  EXPECT_EQ(*calls, 0);
+  const double* entries =
+      batch.stats.metrics.FindGauge("insert.pair_memo_entries");
+  ASSERT_NE(entries, nullptr);
+  EXPECT_EQ(*entries, static_cast<double>(after.pair_memo_entries));
+  ASSERT_NE(batch.stats.metrics.FindGauge("insert.pair_memo_bytes"), nullptr);
+
+  // An immutable index keeps no memo.
+  LanIndex frozen(TinyConfig());
+  ASSERT_TRUE(frozen.Build(static_cast<const GraphDatabase*>(&db)).ok());
+  EXPECT_EQ(frozen.insert_stats().pair_memo_entries, 0u);
+  EXPECT_EQ(frozen.insert_stats().pair_memo_bytes, 0u);
 }
 
 // ---------------------------------------------------------------------------

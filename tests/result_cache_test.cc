@@ -191,8 +191,7 @@ TEST(ResultCacheTest, GedRoundTripAndKeySeparation) {
   double value = 0.0;
   ASSERT_TRUE(cache.FindGed(10, 3, ResultKind::kExactGed, 0, &value));
   EXPECT_DOUBLE_EQ(value, 7.5);
-  // Different kind, query, or graph: distinct keys.
-  EXPECT_FALSE(cache.FindGed(10, 3, ResultKind::kApproxGed, 0, &value));
+  // Different query or graph: distinct keys.
   EXPECT_FALSE(cache.FindGed(11, 3, ResultKind::kExactGed, 0, &value));
   EXPECT_FALSE(cache.FindGed(10, 4, ResultKind::kExactGed, 0, &value));
 }
@@ -206,7 +205,6 @@ CachedScore RankBlob(GraphId first) {
 
 TEST(ResultCacheTest, DependencyOfEveryKind) {
   EXPECT_EQ(DependencyOf(ResultKind::kExactGed), ResultDependency::kContent);
-  EXPECT_EQ(DependencyOf(ResultKind::kApproxGed), ResultDependency::kContent);
   EXPECT_EQ(DependencyOf(ResultKind::kClusterCounts),
             ResultDependency::kModels);
   EXPECT_EQ(DependencyOf(ResultKind::kNeighborhoodProbs),
@@ -253,7 +251,7 @@ TEST(ResultCacheTest, WatermarkInvalidationContract) {
 TEST(ResultCacheTest, InvalidateGraphsSweepsOnlyTouchedIds) {
   ResultCache cache(SmallCacheOptions());
   for (GraphId id = 0; id < 6; ++id) {
-    cache.PutGed(77, id, ResultKind::kApproxGed, 0, static_cast<double>(id));
+    cache.PutGed(77, id, ResultKind::kExactGed, 0, static_cast<double>(id));
     cache.PutScore(77, id, ResultKind::kRankBatches, 0, RankBlob(id));
   }
   // Model-dependent kinds carry no topology either.
@@ -264,7 +262,7 @@ TEST(ResultCacheTest, InvalidateGraphsSweepsOnlyTouchedIds) {
   double value = 0.0;
   CachedScore out;
   for (GraphId id = 0; id < 6; ++id) {
-    EXPECT_TRUE(cache.FindGed(77, id, ResultKind::kApproxGed, 2, &value))
+    EXPECT_TRUE(cache.FindGed(77, id, ResultKind::kExactGed, 2, &value))
         << "graph " << id;
     const bool expect_live = (id != 1 && id != 4);
     EXPECT_EQ(cache.FindScore(77, id, ResultKind::kRankBatches, 2, &out),
@@ -283,7 +281,7 @@ TEST(ResultCacheTest, InvalidateGraphsSweepsOnlyTouchedIds) {
 TEST(ResultCacheTest, PerStoreStatsSumToTotals) {
   ResultCache cache(SmallCacheOptions());
   cache.PutGed(5, 1, ResultKind::kExactGed, 0, 1.0);
-  cache.PutGed(5, 1, ResultKind::kApproxGed, 0, 1.0);
+  cache.PutGed(6, 1, ResultKind::kExactGed, 0, 1.0);
   cache.PutScore(5, 1, ResultKind::kRankBatches, 0, RankBlob(1));
   CachedScore floats;
   floats.floats = {1.0f};
@@ -293,14 +291,14 @@ TEST(ResultCacheTest, PerStoreStatsSumToTotals) {
   CachedScore out;
   EXPECT_TRUE(cache.FindGed(5, 1, ResultKind::kExactGed, 0, &value));
   EXPECT_FALSE(cache.FindGed(5, 2, ResultKind::kExactGed, 0, &value));
-  EXPECT_TRUE(cache.FindGed(5, 1, ResultKind::kApproxGed, 0, &value));
+  EXPECT_TRUE(cache.FindGed(6, 1, ResultKind::kExactGed, 0, &value));
   EXPECT_TRUE(cache.FindScore(5, 1, ResultKind::kRankBatches, 0, &out));
   EXPECT_TRUE(cache.FindScore(5, 2, ResultKind::kNeighborhoodProbs, 0, &out));
   EXPECT_FALSE(cache.FindScore(5, 3, ResultKind::kNeighborhoodProbs, 0, &out));
   EXPECT_TRUE(cache.FindScore(5, kInvalidGraphId, ResultKind::kClusterCounts,
                               0, &out));
 
-  // Both GED protocols share the ged store; M_nh and M_c the score store.
+  // M_nh and M_c share the score store.
   const ResultCacheStats stats = cache.StoreStats();
   EXPECT_EQ(stats.of(CacheStore::kGed).hits, 2);
   EXPECT_EQ(stats.of(CacheStore::kGed).misses, 1);
@@ -387,7 +385,7 @@ TEST(CachingDistanceProviderTest, SecondLookupIsServedFromCache) {
   gopts.approximate_only = true;
   gopts.beam_width = 0;
   GedComputer ged(gopts);
-  GedDistanceProvider base(&db, &ged, &ged);
+  GedDistanceProvider base(&db, &ged);
   auto cache = std::make_shared<ResultCache>(SmallCacheOptions());
   CachingDistanceProvider provider(&base, cache);
 
@@ -401,9 +399,11 @@ TEST(CachingDistanceProviderTest, SecondLookupIsServedFromCache) {
   const DistanceResult second = provider.Exact(ctx, query, 3);
   EXPECT_FALSE(second.computed);
   EXPECT_DOUBLE_EQ(second.value, first.value);
-  // The two GED protocols do not share entries.
-  const DistanceResult approx = provider.Approx(ctx, query, 3);
-  EXPECT_TRUE(approx.computed);
+  // Another query does not share the entry.
+  const Graph& other = db.Get(1);
+  QueryContext other_ctx;
+  other_ctx.query_hash = other.ContentHash();
+  EXPECT_TRUE(provider.Exact(other_ctx, other, 3).computed);
   EXPECT_EQ(cache->Stats().hits, 1);
 }
 
@@ -412,7 +412,7 @@ TEST(CachingDistanceProviderTest, ZeroQueryHashBypassesTheCache) {
   GedOptions gopts;
   gopts.approximate_only = true;
   GedComputer ged(gopts);
-  GedDistanceProvider base(&db, &ged, &ged);
+  GedDistanceProvider base(&db, &ged);
   auto cache = std::make_shared<ResultCache>(SmallCacheOptions());
   CachingDistanceProvider provider(&base, cache);
 
@@ -817,7 +817,7 @@ TEST(ResultCacheMutationTest, TrainedCombosStayIdenticalAcrossEpochs) {
     const GraphId victim = static_cast<GraphId>(3 * m + 1);
     ASSERT_TRUE(twins.cached.Remove(victim).ok());
     ASSERT_TRUE(twins.plain.Remove(victim).ok());
-    // Cached build-protocol distances rewire exactly like fresh ones.
+    // The cache never reaches the writer: both twins rewire alike.
     for (GraphId id = 0; id < twins.cached.db().size(); ++id) {
       const auto with = twins.cached.pg().NeighborSpan(id);
       const auto without = twins.plain.pg().NeighborSpan(id);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -263,6 +264,64 @@ TEST(SnapshotTest, SaveAfterInsertReopensBitwiseIdentical) {
             << " query " << i;
       }
     }
+  }
+}
+
+TEST(SnapshotTest, InsertsAfterReopenRewireLikeTheOriginal) {
+  // The original index inserts with the pair memo its build filled; the
+  // reopened one starts with an empty memo. The memo must be a pure cache
+  // (every pair evaluated in one fixed orientation), so both grow the
+  // same proximity graph.
+  const std::string path = TempPath("insert_twins.lansnap");
+  GraphDatabase db;
+  LanIndex original(TinyConfig());
+  QueryWorkload workload = BuildAndSave(path, 60, &db, &original);
+  LanIndex opened(TinyConfig());
+  ASSERT_TRUE(opened.OpenSnapshot(path).ok());
+  EXPECT_GT(original.insert_stats().pair_memo_entries, 0u);
+  EXPECT_EQ(opened.insert_stats().pair_memo_entries, 0u);
+
+  Rng rng(188);
+  for (int i = 0; i < 16; ++i) {
+    Graph graph = PerturbGraph(db.Get(static_cast<GraphId>((5 * i) % 60)), 2,
+                               db.num_labels(), &rng);
+    auto a = original.Insert(graph);
+    auto b = opened.Insert(std::move(graph));
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    ASSERT_EQ(a.value(), b.value());
+  }
+  const HnswIndex& x = original.hnsw();
+  const HnswIndex& y = opened.hnsw();
+  ASSERT_EQ(x.NumNodes(), y.NumNodes());
+  ASSERT_EQ(x.NumCoreLayers(), y.NumCoreLayers());
+  EXPECT_EQ(x.EntryPoint(), y.EntryPoint());
+  for (GraphId id = 0; id < x.NumNodes(); ++id) {
+    const auto base_x = x.BaseLayer().NeighborSpan(id);
+    const auto base_y = y.BaseLayer().NeighborSpan(id);
+    ASSERT_TRUE(std::equal(base_x.begin(), base_x.end(), base_y.begin(),
+                           base_y.end()))
+        << "base-layer list of graph " << id;
+    for (int l = 0; l < x.NumCoreLayers(); ++l) {
+      const auto row_x = x.CoreRow(l, id);
+      const auto row_y = y.CoreRow(l, id);
+      ASSERT_TRUE(std::equal(row_x.begin(), row_x.end(), row_y.begin(),
+                             row_y.end()))
+          << "layer " << l << " list of graph " << id;
+    }
+  }
+  // The reopened index paid for the pairs the original already held.
+  EXPECT_GT(opened.insert_stats().pair_distance_calls,
+            original.insert_stats().pair_distance_calls);
+
+  SearchOptions sopts;
+  sopts.k = 5;
+  for (size_t i = 0; i < 3; ++i) {
+    SearchResult a = original.Search(workload.test[i], sopts);
+    SearchResult b = opened.Search(workload.test[i], sopts);
+    ASSERT_TRUE(a.status.ok());
+    ASSERT_TRUE(b.status.ok());
+    EXPECT_EQ(a.results, b.results) << "query " << i;
   }
 }
 

@@ -554,6 +554,7 @@ int SearchCmd(const Flags& flags) {
     if (CloseOut(trace_out.get(), flags.Get("trace-out", "")) != 0) return 1;
     std::printf("trace written to %s\n", flags.Get("trace-out", "").c_str());
   }
+  AppendInsertMetrics(loaded->index.insert_stats(), 0, &registry);
   if (ResultCache* cache = loaded->index.result_cache()) {
     cache->AppendMetrics(&registry);
     const ResultCacheStats per_store = cache->StoreStats();
@@ -675,6 +676,7 @@ int Eval(const Flags& flags) {
     if (ResultCache* cache = loaded->index.result_cache()) {
       cache->AppendMetrics(&registry);
     }
+    AppendInsertMetrics(loaded->index.insert_stats(), 0, &registry);
     *out << registry.Snapshot().ToJson() << "\n";
     if (CloseOut(out.get(), flags.Get("metrics-out", "")) != 0) return 1;
     std::printf("metrics written to %s\n",
@@ -886,11 +888,12 @@ int Serve(const Flags& flags) {
   std::atomic<int64_t> served{0};
   Timer uptime;
 
-  // Repeated /metrics scrapes must export cache counter deltas, not
-  // re-add lifetime totals (AppendCacheMetrics increments), so the scrape
-  // keeps a moving baseline under its own mutex.
+  // Repeated /metrics scrapes must export cache and insert counter
+  // deltas, not re-add lifetime totals (the Append*Metrics helpers
+  // increment), so the scrape keeps moving baselines under its own mutex.
   std::mutex scrape_mu;
   ResultCacheStats cache_baseline;
+  uint64_t insert_calls_baseline = 0;
 
   StatsServer::Options server_options;
   server_options.port = static_cast<int>(flags.GetInt("stats-port", 0));
@@ -903,6 +906,9 @@ int Serve(const Flags& flags) {
                          cache->capacity_bytes(), &registry);
       cache_baseline = now;
     }
+    const InsertStats writes = index.insert_stats();
+    AppendInsertMetrics(writes, insert_calls_baseline, &registry);
+    insert_calls_baseline = writes.pair_distance_calls;
     HttpResponse response;
     response.content_type = "text/plain; version=0.0.4; charset=utf-8";
     response.body = RenderPrometheus(registry.Snapshot());

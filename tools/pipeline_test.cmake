@@ -170,6 +170,9 @@ foreach(needle
         "cache_ged_hits"
         "cache_rank_hits"
         "cache_scores_hits"
+        "insert_pair_distance_calls"
+        "insert_pair_memo_entries"
+        "insert_pair_memo_bytes"
         "query_latency_seconds_count")
   if(NOT metrics MATCHES "${needle}")
     message(FATAL_ERROR "/metrics missing '${needle}':\n${metrics}")
